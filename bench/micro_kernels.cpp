@@ -3,18 +3,22 @@
 // interpreter, texture fetches, and the cache model. These quantify the
 // host-side cost of simulation, not the modeled GPU time.
 //
-// The custom main() additionally times the three device execution engines
-// head to head on the pipeline's heaviest shaders (the fused SID
-// cumulative-distance kernel and the MEI kernel) and, with `--json <path>`,
-// writes wall and modeled times plus the speedups to
+// The custom main() additionally times the two device execution engines
+// (interpreter reference, SoA fast path) head to head on the pipeline's
+// heaviest shaders (the fused SID cumulative-distance kernel and the MEI
+// kernel), after checking they agree bit for bit, and, with
+// `--json <path>`, writes wall and modeled times plus the speedups to
 // BENCH_micro_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <iostream>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -152,7 +156,7 @@ void BM_DevicePass(benchmark::State& state) {
   profile.fragment_pipes = 4;
   gpusim::SimConfig config;
   config.exec_engine = state.range(0) == 0 ? gpusim::ExecEngine::Interpreter
-                                           : gpusim::ExecEngine::Compiled;
+                                           : gpusim::ExecEngine::Soa;
   gpusim::Device dev(profile, config);
   const auto in = dev.create_texture(64, 64, gpusim::TextureFormat::RGBA32F);
   const auto out = dev.create_texture(64, 64, gpusim::TextureFormat::RGBA32F);
@@ -167,7 +171,7 @@ void BM_DevicePass(benchmark::State& state) {
     benchmark::DoNotOptimize(dev.draw(program, ins, {}, outs));
   }
   state.SetItemsProcessed(state.iterations() * 64 * 64);
-  state.SetLabel(state.range(0) == 0 ? "interpreter" : "compiled");
+  state.SetLabel(state.range(0) == 0 ? "interpreter" : "soa");
 }
 BENCHMARK(BM_DevicePass)->Arg(0)->Arg(1);
 
@@ -226,37 +230,36 @@ BENCHMARK(BM_HalfQuantize);
 
 // ---- execution-engine head-to-head -----------------------------------------
 //
-// Times the interpreter, the compiled engine and the SoA engine on the
-// pipeline's two heaviest shaders over a 256x256 viewport (the scale of
-// one AMC chunk slice). All engines produce bit-identical results; this
-// measures pure host-side simulation throughput.
+// Times the interpreter and the SoA engine on the pipeline's two heaviest
+// shaders over a 256x256 viewport (the scale of one AMC chunk slice).
+// Before timing, every variant's output texels and modeled time must equal
+// the interpreter's bit for bit (the run exits nonzero otherwise); the
+// timings measure pure host-side simulation throughput.
 //
-// Engine-vs-engine speedups (`speedup_soa_vs_compiled`) are measured with
-// the texture-cache model off: cache replay is a shared bit-exactness
-// contract -- both engines must walk the identical canonical probe
-// sequence, so its cost is common by construction and dilutes any
-// engine-side win. The cache-on wall times are recorded alongside so the
-// full-model cost is visible too.
+// Each engine is timed with the texture-cache model on (the full
+// simulation) and off (engine compute alone: cache replay walks the same
+// canonical probe sequence under both engines, so its cost dilutes the
+// engine-side ratio).
 
 struct EngineTiming {
   double interp_seconds = 0;
-  double compiled_seconds = 0;
   double soa_seconds = 0;
-  double compiled_nocache_seconds = 0;
+  double interp_nocache_seconds = 0;
   double soa_nocache_seconds = 0;
-  double modeled_seconds = 0;  ///< identical for all engines
+  double modeled_seconds = 0;  ///< identical for both engines
 
-  double speedup() const {
-    return compiled_seconds > 0 ? interp_seconds / compiled_seconds : 0;
+  double speedup_soa_vs_interpreter() const {
+    return soa_seconds > 0 ? interp_seconds / soa_seconds : 0;
   }
-  double speedup_soa_vs_compiled() const {
+  double speedup_soa_vs_interpreter_nocache() const {
     return soa_nocache_seconds > 0
-               ? compiled_nocache_seconds / soa_nocache_seconds
+               ? interp_nocache_seconds / soa_nocache_seconds
                : 0;
   }
 };
 
-EngineTiming time_engines(const gpusim::FragmentProgram& program,
+EngineTiming time_engines(const std::string& name,
+                          const gpusim::FragmentProgram& program,
                           const std::vector<gpusim::TextureFormat>& in_formats,
                           std::span<const gpusim::float4> constants, int size,
                           int reps) {
@@ -265,15 +268,18 @@ EngineTiming time_engines(const gpusim::FragmentProgram& program,
     bool texture_cache;
     double EngineTiming::* slot;
   };
+  // The interpreter with the cache model on comes first: it is the
+  // reference every other variant is checked against.
   const Variant variants[] = {
       {gpusim::ExecEngine::Interpreter, true, &EngineTiming::interp_seconds},
-      {gpusim::ExecEngine::Compiled, true, &EngineTiming::compiled_seconds},
       {gpusim::ExecEngine::Soa, true, &EngineTiming::soa_seconds},
-      {gpusim::ExecEngine::Compiled, false,
-       &EngineTiming::compiled_nocache_seconds},
+      {gpusim::ExecEngine::Interpreter, false,
+       &EngineTiming::interp_nocache_seconds},
       {gpusim::ExecEngine::Soa, false, &EngineTiming::soa_nocache_seconds},
   };
   EngineTiming timing;
+  std::vector<float> reference_texels;
+  double reference_modeled[2] = {0, 0};  // per cache setting
   for (const Variant& variant : variants) {
     gpusim::DeviceProfile profile = gpusim::geforce_7800_gtx();
     profile.fragment_pipes = 4;
@@ -305,8 +311,24 @@ EngineTiming time_engines(const gpusim::FragmentProgram& program,
     const auto out = dev.create_texture(size, size, gpusim::TextureFormat::R32F);
     const gpusim::TextureHandle outs[1] = {out};
 
+    // Warm-up (and lowering), then the bit-identity check.
+    const double modeled0 = dev.draw(program, ins, constants, outs).modeled_seconds;
+    const std::vector<float>& texels = dev.texture(out).raw();
+    double& reference = reference_modeled[variant.texture_cache ? 1 : 0];
+    if (variant.engine == gpusim::ExecEngine::Interpreter) {
+      reference = modeled0;
+      if (variant.texture_cache) reference_texels = texels;
+    }
+    if (modeled0 != reference || texels.size() != reference_texels.size() ||
+        std::memcmp(texels.data(), reference_texels.data(),
+                    texels.size() * sizeof(float)) != 0) {
+      std::cerr << "micro_kernels: " << name << ": "
+                << gpusim::exec_engine_name(variant.engine)
+                << " disagrees with the interpreter\n";
+      std::exit(1);
+    }
+
     double modeled = 0;
-    (void)dev.draw(program, ins, constants, outs);  // warm-up (and compile)
     // Best-of-reps: a loaded machine only ever inflates a wall-clock
     // sample, so the minimum is the most repeatable throughput estimate
     // (and treats every engine alike).
@@ -317,8 +339,7 @@ EngineTiming time_engines(const gpusim::FragmentProgram& program,
       seconds = std::min(seconds, wall.seconds());
     }
     timing.*variant.slot = seconds;
-    if (variant.engine == gpusim::ExecEngine::Compiled &&
-        variant.texture_cache) {
+    if (variant.engine == gpusim::ExecEngine::Soa && variant.texture_cache) {
       timing.modeled_seconds = modeled / reps;
     }
   }
@@ -343,43 +364,47 @@ void run_engine_comparison(const std::string& json_path) {
       gpusim::assemble_or_die("mei", core::shaders::mei_source());
 
   using TF = gpusim::TextureFormat;
-  const EngineTiming t_sid = time_engines(
-      sid, {TF::RGBA32F, TF::RGBA32F, TF::R32F}, offsets, kSize, kReps);
+  const EngineTiming t_sid =
+      time_engines("sid", sid, {TF::RGBA32F, TF::RGBA32F, TF::R32F}, offsets,
+                   kSize, kReps);
   const EngineTiming t_mei = time_engines(
-      mei, {TF::RGBA32F, TF::RGBA32F, TF::RGBA32F, TF::R32F}, {}, kSize, kReps);
+      "mei", mei, {TF::RGBA32F, TF::RGBA32F, TF::RGBA32F, TF::R32F}, {}, kSize,
+      kReps);
 
-  util::Table table(
-      {"Shader", "interpreter", "compiled", "soa", "interp/compiled",
-       "soa vs compiled (engine)"});
+  util::Table table({"Shader", "interpreter", "soa", "soa speedup",
+                     "soa speedup (cache off)"});
   auto add_row = [&table](const std::string& name, const EngineTiming& t) {
-    table.add_row({name, util::format_duration(t.interp_seconds),
-                   util::format_duration(t.compiled_seconds),
-                   util::format_duration(t.soa_seconds),
-                   util::Table::num(t.speedup(), 2) + "x",
-                   util::Table::num(t.speedup_soa_vs_compiled(), 2) + "x"});
+    table.add_row(
+        {name, util::format_duration(t.interp_seconds),
+         util::format_duration(t.soa_seconds),
+         util::Table::num(t.speedup_soa_vs_interpreter(), 2) + "x",
+         util::Table::num(t.speedup_soa_vs_interpreter_nocache(), 2) + "x"});
   };
   add_row("SID cumdist (9 nbrs)", t_sid);
   add_row("MEI", t_mei);
   std::cout << "\n";
   table.print(std::cout,
               "Execution engines, 256x256 pass wall time (bit-identical "
-              "results; engine speedup measured with the cache model off)");
+              "results, cache model on unless noted)");
 
   if (!json_path.empty()) {
     bench::JsonReport report("micro_kernels");
     auto emit = [&report](const std::string& bench, const EngineTiming& t) {
       report.add(bench, "wall_seconds_interpreter", t.interp_seconds);
-      report.add(bench, "wall_seconds_compiled", t.compiled_seconds);
       report.add(bench, "wall_seconds_soa", t.soa_seconds);
-      report.add(bench, "wall_seconds_compiled_nocache",
-                 t.compiled_nocache_seconds);
+      report.add(bench, "wall_seconds_interpreter_nocache",
+                 t.interp_nocache_seconds);
       report.add(bench, "wall_seconds_soa_nocache", t.soa_nocache_seconds);
-      report.add(bench, "speedup", t.speedup());
-      report.add(bench, "speedup_soa_vs_compiled", t.speedup_soa_vs_compiled());
+      report.add(bench, "speedup_soa_vs_interpreter",
+                 t.speedup_soa_vs_interpreter());
+      report.add(bench, "speedup_soa_vs_interpreter_nocache",
+                 t.speedup_soa_vs_interpreter_nocache());
       report.add(bench, "modeled_seconds", t.modeled_seconds);
     };
     emit("device_pass_sid", t_sid);
     emit("device_pass_mei", t_mei);
+    report.add("host", "cpus", std::thread::hardware_concurrency());
+    report.add("host", "reps", kReps);
     report.write(json_path);
   }
 }

@@ -117,7 +117,8 @@ struct FragmentProgram {
 ///   * component-wise ops read swizzle[i] for every write-enabled lane i
 ///     (ARB semantics: unmasked lanes are never evaluated).
 /// Shared by the validator (initialized-before-read checking) and the
-/// compiled engine's dead-write elimination so both agree exactly.
+/// compile_program() front end's dead-write elimination so both agree
+/// exactly.
 std::uint8_t consumed_source_lanes(Opcode op, const Swizzle& swizzle,
                                    std::uint8_t dst_write_mask);
 

@@ -21,7 +21,7 @@ namespace hs::gpusim {
 // Approximations of the hardware special-function unit. NV30-class RCP was
 // good to ~23 mantissa bits, close enough to IEEE that we just use the host
 // operations; LG2/EX2 likewise. Shared (inline, single definition) by the
-// interpreter and the compiled engine so both produce bit-identical values.
+// interpreter and the SoA engine so both produce bit-identical values.
 inline float hw_rcp(float x) { return 1.0f / x; }
 inline float hw_rsq(float x) { return 1.0f / std::sqrt(x); }
 inline float hw_lg2(float x) { return std::log2(x); }
@@ -46,23 +46,18 @@ struct ExecCounters {
 /// absorbed by the L1/L2 texture-cache hierarchy, but the first touch must
 /// stream the tile from video memory.
 struct TileTouchTracker {
-  int tile_size = 4;
+  /// Tile edge, texels: the DRAM burst granule of the timing model.
+  static constexpr int kTileSize = 4;
   /// Per texture unit: byte-per-tile bitmap, row pitch tiles_x[unit].
   std::vector<std::vector<std::uint8_t>> units;
   std::vector<int> tiles_x;
 
   void touch(std::size_t unit, int x, int y) {
     if (unit >= units.size() || units[unit].empty()) return;
-    std::size_t tx, ty;
-    if (tile_size == 4) {
-      // Hot path for the device's fixed tracker tile; resolved texel
-      // coordinates are non-negative, so the shift matches the division.
-      tx = static_cast<std::uint32_t>(x) >> 2;
-      ty = static_cast<std::uint32_t>(y) >> 2;
-    } else {
-      tx = static_cast<std::size_t>(x / tile_size);
-      ty = static_cast<std::size_t>(y / tile_size);
-    }
+    // Resolved texel coordinates are non-negative, so the shift is the
+    // division by kTileSize.
+    const std::size_t tx = static_cast<std::uint32_t>(x) >> 2;
+    const std::size_t ty = static_cast<std::uint32_t>(y) >> 2;
     units[unit][ty * static_cast<std::size_t>(tiles_x[unit]) + tx] = 1;
   }
 };

@@ -1,8 +1,6 @@
 // Second-stage lowering (fetch classification + runtime DCE) and the SoA
 // tile executor. See soa_program.hpp for the design and the exactness
-// argument; the executor mirrors compiled_program.cpp's tile loop but
-// specializes the texture paths and replays the cache through memoized
-// probes.
+// argument.
 #include "gpusim/soa_program.hpp"
 
 #include <algorithm>
@@ -36,15 +34,20 @@ namespace hs::gpusim {
 
 namespace {
 
-constexpr int kTile = 256;
+/// Widest execution tile, in lanes. Scratch rows are sized to the pass
+/// (see lanes_for()), so narrow passes do not pay for 256-lane planes.
+constexpr int kMaxTile = 256;
 
 /// Folded static offsets beyond this are refused at lowering: together
 /// with the viewport bound below they keep `(x + 0.5) + dx` exactly
 /// representable (|value| < 2^22 has an exact 0.5-fractional float).
 constexpr std::int32_t kMaxStaticOffset = 1 << 20;
 /// Viewport coordinates must stay below this for the static fast path;
-/// run_soa_rows falls back to the compiled executor otherwise.
+/// run_soa_rows runs a pass past it in generic mode.
 constexpr std::int64_t kMaxExactCoord = std::int64_t{1} << 21;
+
+static_assert(TileTouchTracker::kTileSize == 4,
+              "tracker marks below index tiles with >> 2");
 
 /// Replay-tag sentinel for a border-color (uncounted) fetch lane; the
 /// cache's replay_matrix() skips these lanes (see TextureCache::kSkipTag).
@@ -97,10 +100,10 @@ bool coord_base(const CompiledSrc& s, const std::array<Fact, kMaxTemps>& facts,
 
 }  // namespace
 
-SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
+SoaProgram lower_soa(CompiledProgram compiled) {
   SoaProgram sp;
   sp.compiled = std::move(compiled);
-  const CompiledProgram& cp = *sp.compiled;
+  const CompiledProgram& cp = sp.compiled;
   sp.fetch.resize(cp.tex_unit_of_fetch.size());
   sp.live_fullscreen.assign(cp.code.size(), 1);
 
@@ -362,39 +365,24 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
   return sp;
 }
 
-// ---- plan cache ------------------------------------------------------------
-
-SoaProgramCache::SoaProgramCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {}
-
-std::shared_ptr<const SoaProgram> SoaProgramCache::get(
-    std::shared_ptr<const CompiledProgram> compiled) {
-  for (Entry& e : entries_) {
-    if (e.program->compiled == compiled) {
-      e.stamp = ++stamp_;
-      return e.program;
-    }
-  }
-  if (entries_.size() >= capacity_) {
-    entries_.erase(std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; }));
-  }
-  Entry e;
-  e.stamp = ++stamp_;
-  e.program = std::make_shared<const SoaProgram>(lower_soa(std::move(compiled)));
-  entries_.push_back(std::move(e));
-  return entries_.back().program;
-}
-
 // ---- tile executor ---------------------------------------------------------
 
 namespace {
 
-/// Per-pipe working set; same SoA row layout as the compiled engine's
-/// Scratch, plus integer coordinate rows and replay-tag rows per fetch
-/// slot (the SoA equivalent of its Fetch records).
+/// Tile width for a pass slice of `n` lanes: min(kMaxTile, n) rounded up
+/// to 16, so every row starts on a 64-byte boundary of its plane.
+int lanes_for(std::size_t n) {
+  const std::size_t lanes = std::min<std::size_t>(kMaxTile, n);
+  return static_cast<int>((lanes + 15) / 16 * 16);
+}
+
+/// Per-pipe working set. All register and attribute storage is SoA:
+/// row(reg, comp) is a contiguous `stride`-float lane array, so a swizzled
+/// operand read is just a different row pointer and the per-op lane loops
+/// vectorize. Integer coordinate rows and replay-tag rows are kept per
+/// fetch slot.
 struct SoaScratch {
+  std::size_t stride = 0;     // lanes per row: the slice's tile width
   std::vector<float> temps;   // kMaxTemps x 4 rows
   std::vector<float> tcs;     // kMaxTexCoords x 4 rows
   std::vector<float> outs;    // kMaxOutputs x 4 rows
@@ -402,23 +390,25 @@ struct SoaScratch {
   std::vector<float> neg;     // 3 operands x 4 rows of negate staging
   std::vector<float> dstage;  // 4 rows of alias-hazard staging
   std::vector<float> srow;    // scalar/dot result row
-  std::vector<std::int32_t> ix;     // n_fetch x kTile resolved x (or kIdxSkip)
-  std::vector<std::int32_t> iy;     // n_fetch x kTile resolved y
-  std::vector<std::int32_t> is;     // n_fetch x kTile linear texel index
-  std::vector<std::uint64_t> tags;  // n_fetch x kTile replay tags
+  std::vector<std::int32_t> ix;     // n_fetch rows: resolved x (or kIdxSkip)
+  std::vector<std::int32_t> iy;     // n_fetch rows: resolved y
+  std::vector<std::int32_t> is;     // n_fetch rows: linear texel index
+  std::vector<std::uint64_t> tags;  // n_fetch rows: replay tags
 
-  void init(const CompiledProgram& cp) {
-    temps.resize(static_cast<std::size_t>(kMaxTemps) * 4 * kTile);
-    tcs.assign(static_cast<std::size_t>(kMaxTexCoords) * 4 * kTile, 0.f);
-    outs.assign(static_cast<std::size_t>(kMaxOutputs) * 4 * kTile, 0.f);
-    imms.resize(static_cast<std::size_t>(cp.imm_count) * 4 * kTile);
-    neg.resize(3 * 4 * kTile);
-    dstage.resize(4 * kTile);
-    srow.resize(kTile);
-    ix.resize(cp.tex_unit_of_fetch.size() * kTile);
-    iy.resize(cp.tex_unit_of_fetch.size() * kTile);
-    is.resize(cp.tex_unit_of_fetch.size() * kTile);
-    tags.resize(cp.tex_unit_of_fetch.size() * kTile);
+  void init(const CompiledProgram& cp, int tile) {
+    stride = static_cast<std::size_t>(tile);
+    const std::size_t n_fetch = cp.tex_unit_of_fetch.size();
+    temps.resize(static_cast<std::size_t>(kMaxTemps) * 4 * stride);
+    tcs.assign(static_cast<std::size_t>(kMaxTexCoords) * 4 * stride, 0.f);
+    outs.assign(static_cast<std::size_t>(kMaxOutputs) * 4 * stride, 0.f);
+    imms.resize(static_cast<std::size_t>(cp.imm_count) * 4 * stride);
+    neg.resize(3 * 4 * stride);
+    dstage.resize(4 * stride);
+    srow.resize(stride);
+    ix.resize(n_fetch * stride);
+    iy.resize(n_fetch * stride);
+    is.resize(n_fetch * stride);
+    tags.resize(n_fetch * stride);
     for (const CompiledIns& ci : cp.code) {
       for (int s = 0; s < ci.src_count; ++s) {
         const CompiledSrc& cs = ci.src[static_cast<std::size_t>(s)];
@@ -426,8 +416,8 @@ struct SoaScratch {
         for (int c = 0; c < 4; ++c) {
           float* row = &imms[(static_cast<std::size_t>(cs.imm_slot) * 4 +
                               static_cast<std::size_t>(c)) *
-                             kTile];
-          std::fill(row, row + kTile, cs.imm[static_cast<std::size_t>(c)]);
+                             stride];
+          std::fill(row, row + stride, cs.imm[static_cast<std::size_t>(c)]);
         }
       }
     }
@@ -436,40 +426,40 @@ struct SoaScratch {
   float* temp_row(int reg, int comp) {
     return &temps[(static_cast<std::size_t>(reg) * 4 +
                    static_cast<std::size_t>(comp)) *
-                  kTile];
+                  stride];
   }
   float* tc_row(int attr, int comp) {
     return &tcs[(static_cast<std::size_t>(attr) * 4 +
                  static_cast<std::size_t>(comp)) *
-                kTile];
+                stride];
   }
   float* out_row(int out, int comp) {
     return &outs[(static_cast<std::size_t>(out) * 4 +
                   static_cast<std::size_t>(comp)) *
-                 kTile];
+                 stride];
   }
   std::int32_t* ix_row(int slot) {
-    return &ix[static_cast<std::size_t>(slot) * kTile];
+    return &ix[static_cast<std::size_t>(slot) * stride];
   }
   std::int32_t* iy_row(int slot) {
-    return &iy[static_cast<std::size_t>(slot) * kTile];
+    return &iy[static_cast<std::size_t>(slot) * stride];
   }
   std::int32_t* is_row(int slot) {
-    return &is[static_cast<std::size_t>(slot) * kTile];
+    return &is[static_cast<std::size_t>(slot) * stride];
   }
   std::uint64_t* tag_row(int slot) {
-    return &tags[static_cast<std::size_t>(slot) * kTile];
+    return &tags[static_cast<std::size_t>(slot) * stride];
   }
 };
 
 /// Row holding source lanes that feed destination component `c`; negated
-/// operands are staged. Mirrors the compiled engine exactly.
+/// operands are staged.
 const float* src_row(const CompiledSrc& s, int c, SoaScratch& sc, int lanes,
                      int operand) {
   if (s.kind == CompiledSrc::Kind::Imm) {
     return &sc.imms[(static_cast<std::size_t>(s.imm_slot) * 4 +
                      static_cast<std::size_t>(c)) *
-                    kTile];
+                    sc.stride];
   }
   const int comp = s.swz[static_cast<std::size_t>(c)];
   const float* base = s.kind == CompiledSrc::Kind::Temp
@@ -478,7 +468,7 @@ const float* src_row(const CompiledSrc& s, int c, SoaScratch& sc, int lanes,
   if (!s.negate) return base;
   float* stage = &sc.neg[(static_cast<std::size_t>(operand) * 4 +
                           static_cast<std::size_t>(c)) *
-                         kTile];
+                         sc.stride];
   HS_SOA_SIMD
   for (int l = 0; l < lanes; ++l) stage[l] = -base[l];
   return stage;
@@ -492,8 +482,9 @@ float* dst_row(const CompiledIns& ci, int c, SoaScratch& sc) {
 void exec_componentwise(const CompiledIns& ci, SoaScratch& sc, int lanes) {
   for (int c = 0; c < 4; ++c) {
     if (!(ci.write_mask & (1u << c))) continue;
-    float* d = ci.alias_hazard ? &sc.dstage[static_cast<std::size_t>(c) * kTile]
-                               : dst_row(ci, c, sc);
+    float* d = ci.alias_hazard
+                   ? &sc.dstage[static_cast<std::size_t>(c) * sc.stride]
+                   : dst_row(ci, c, sc);
     const float* a = src_row(ci.src[0], c, sc, lanes, 0);
     switch (ci.op) {
       case Opcode::MOV:
@@ -584,7 +575,7 @@ void exec_componentwise(const CompiledIns& ci, SoaScratch& sc, int lanes) {
   if (ci.alias_hazard) {
     for (int c = 0; c < 4; ++c) {
       if (!(ci.write_mask & (1u << c))) continue;
-      const float* s = &sc.dstage[static_cast<std::size_t>(c) * kTile];
+      const float* s = &sc.dstage[static_cast<std::size_t>(c) * sc.stride];
       std::copy(s, s + lanes, dst_row(ci, c, sc));
     }
   }
@@ -1229,9 +1220,7 @@ struct ReplayState {
 /// fragment-major, program-slot order. Arithmetic recipes are first
 /// materialized into their slot's tag row (a SIMD loop) and the probing
 /// slots compacted, so the cache sees one uniform lane-major tag matrix
-/// -- where the compiled engine re-reads fetch records and rebuilds each
-/// tag scalar-by-scalar inside its replay loop, this engine's probe loop
-/// only loads finished tags.
+/// and its probe loop only loads finished tags.
 void soa_replay(const CompiledProgram& cp, TileCtx& t, ReplayState& rs) {
   const std::size_t n_fetch = cp.tex_unit_of_fetch.size();
   SoaScratch& sc = *t.sc;
@@ -1310,14 +1299,13 @@ std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
                                       const CompiledBindings& b) {
   const std::size_t n_fetch = cp.tex_unit_of_fetch.size();
   std::vector<SlotInfo> infos(n_fetch);
-  const bool track = b.tiles != nullptr && b.tiles->tile_size == 4;
   for (std::size_t s = 0; s < n_fetch; ++s) {
     SlotInfo& info = infos[s];
     info.unit = cp.tex_unit_of_fetch[s];
     info.id = info.unit < b.texture_ids.size() ? b.texture_ids[info.unit]
                                                : info.unit;
     info.tag_hi = static_cast<std::uint64_t>(info.id) << 48;
-    if (track && info.unit < b.tiles->units.size() &&
+    if (b.tiles != nullptr && info.unit < b.tiles->units.size() &&
         !b.tiles->units[info.unit].empty()) {
       info.bitmap = b.tiles->units[info.unit].data();
       info.pitch = static_cast<std::size_t>(b.tiles->tiles_x[info.unit]);
@@ -1326,18 +1314,58 @@ std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
   return infos;
 }
 
-/// The specialized paths require power-of-two cache tiles, the default
-/// 4x4 tracker tile, and coordinates inside the float-exactness bound;
-/// anything else delegates to the compiled executor (same bit-identity
-/// guarantee, just slower).
-bool soa_fast_ok(const SoaProgram& sp, const CompiledBindings& b,
-                 int max_coord) {
-  if (b.cache != nullptr && b.cache->tile_shift() < 0) return false;
-  if (b.tiles != nullptr && b.tiles->tile_size != 4) return false;
-  if (std::int64_t{max_coord} + sp.max_abs_offset + 1 >= kMaxExactCoord) {
-    return false;
+/// Per-slice execution state shared by the row and fragment drivers.
+struct SliceRun {
+  SoaScratch sc;
+  std::vector<SlotInfo> infos;
+  std::vector<SlotRT> rts;
+  TileCtx t;
+  std::optional<ReplayState> replay;
+
+  SliceRun(const SoaProgram& sp, const CompiledBindings& b, std::size_t n) {
+    const CompiledProgram& cp = sp.compiled;
+    sc.init(cp, lanes_for(n));
+    infos = make_slot_infos(cp, b);
+    rts.resize(infos.size());
+    t.b = &b;
+    t.sc = &sc;
+    t.info = infos.data();
+    t.rt = rts.data();
+    t.want_tags = b.cache != nullptr;
+    t.ts = t.want_tags ? b.cache->tile_shift() : 0;
+    t.fuse_active = fusions_active(sp, b);
+    if (t.want_tags) replay.emplace(*b.cache, infos.size());
   }
-  return true;
+  SliceRun(const SliceRun&) = delete;
+  SliceRun& operator=(const SliceRun&) = delete;
+};
+
+/// Runs the program over the current tile (t.lanes lanes, texcoords
+/// already in place) and replays its fetches. Fullscreen mode uses the
+/// static/uniform fetch plans and skips runtime-dead coordinate ALU;
+/// generic mode executes every instruction with every fetch dynamic.
+void exec_tile(const SoaProgram& sp, TileCtx& t, ReplayState* replay,
+               bool fullscreen) {
+  const CompiledProgram& cp = sp.compiled;
+  for (std::size_t i = 0; i < cp.code.size(); ++i) {
+    if (fullscreen && !sp.live_fullscreen[i]) continue;
+    if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
+    const CompiledIns& ci = cp.code[i];
+    if (ci.op == Opcode::TEX) {
+      soa_tex(ci, sp, t, fullscreen);
+    } else if (t.fuse_active && sp.dot_of[i] >= 0) {
+      exec_fused_dot(ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])],
+                     t);
+    } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
+      exec_fused_tex(ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
+    } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
+               ci.op == Opcode::DP4) {
+      exec_scalar_or_dot(ci, *t.sc, t.lanes);
+    } else {
+      exec_componentwise(ci, *t.sc, t.lanes);
+    }
+  }
+  if (replay != nullptr) soa_replay(cp, t, *replay);
 }
 
 }  // namespace
@@ -1345,29 +1373,21 @@ bool soa_fast_ok(const SoaProgram& sp, const CompiledBindings& b,
 void run_soa_rows(const SoaProgram& sp, const CompiledBindings& bindings,
                   int width, int y_begin, int y_end, ExecCounters& counters) {
   if (width <= 0 || y_begin >= y_end) return;
-  const CompiledProgram& cp = *sp.compiled;
-  if (!soa_fast_ok(sp, bindings, std::max(width, y_end))) {
-    run_compiled_rows(cp, bindings, width, y_begin, y_end, counters);
-    return;
-  }
-  SoaScratch sc;
-  sc.init(cp);
-  std::vector<SlotInfo> infos = make_slot_infos(cp, bindings);
-  std::vector<SlotRT> rts(infos.size());
-  TileCtx t;
-  t.b = &bindings;
-  t.sc = &sc;
-  t.info = infos.data();
-  t.rt = rts.data();
-  t.want_tags = bindings.cache != nullptr;
-  t.ts = t.want_tags ? bindings.cache->tile_shift() : 0;
-  t.fuse_active = fusions_active(sp, bindings);
-  std::optional<ReplayState> replay;
-  if (t.want_tags) replay.emplace(*bindings.cache, infos.size());
+  const CompiledProgram& cp = sp.compiled;
+  // Static fetch plans are exact only while every folded coordinate stays
+  // inside kMaxExactCoord; a pass past it resolves every fetch per lane.
+  const bool fullscreen = std::int64_t{std::max(width, y_end)} +
+                              sp.max_abs_offset + 1 <
+                          kMaxExactCoord;
+  SliceRun run(sp, bindings, static_cast<std::size_t>(width));
+  TileCtx& t = run.t;
+  SoaScratch& sc = run.sc;
+  ReplayState* replay = run.replay ? &*run.replay : nullptr;
+  const int tile = static_cast<int>(sc.stride);
   const bool uses_tc0 = (cp.texcoords_used & 1u) != 0;
   for (int y = y_begin; y < y_end; ++y) {
-    for (int x0 = 0; x0 < width; x0 += kTile) {
-      const int lanes = std::min(kTile, width - x0);
+    for (int x0 = 0; x0 < width; x0 += tile) {
+      const int lanes = std::min(tile, width - x0);
       t.lanes = lanes;
       t.x0 = x0;
       t.y = y;
@@ -1384,27 +1404,8 @@ void run_soa_rows(const SoaProgram& sp, const CompiledBindings& bindings,
           t3[l] = 1.f;
         }
       }
-      for (std::size_t i = 0; i < cp.code.size(); ++i) {
-        if (!sp.live_fullscreen[i]) continue;
-        if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
-        const CompiledIns& ci = cp.code[i];
-        if (ci.op == Opcode::TEX) {
-          soa_tex(ci, sp, t, /*fullscreen=*/true);
-        } else if (t.fuse_active && sp.dot_of[i] >= 0) {
-          exec_fused_dot(
-              ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
-        } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
-          exec_fused_tex(
-              ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
-        } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
-                   ci.op == Opcode::DP4) {
-          exec_scalar_or_dot(ci, sc, lanes);
-        } else {
-          exec_componentwise(ci, sc, lanes);
-        }
-      }
+      exec_tile(sp, t, replay, fullscreen);
       soa_store_rows(cp, bindings, sc, lanes, x0, y);
-      if (t.want_tags) soa_replay(cp, t, *replay);
     }
   }
   add_analytic_counters(
@@ -1418,30 +1419,17 @@ void run_soa_fragments(const SoaProgram& sp, const CompiledBindings& bindings,
                        std::span<const GeomFragment> fragments,
                        ExecCounters& counters) {
   if (fragments.empty()) return;
-  const CompiledProgram& cp = *sp.compiled;
-  if (!soa_fast_ok(sp, bindings, 0)) {
-    run_compiled_fragments(cp, bindings, fragments, counters);
-    return;
-  }
-  SoaScratch sc;
-  sc.init(cp);
-  std::vector<SlotInfo> infos = make_slot_infos(cp, bindings);
-  std::vector<SlotRT> rts(infos.size());
-  TileCtx t;
-  t.b = &bindings;
-  t.sc = &sc;
-  t.info = infos.data();
-  t.rt = rts.data();
-  t.want_tags = bindings.cache != nullptr;
-  t.ts = t.want_tags ? bindings.cache->tile_shift() : 0;
-  t.fuse_active = fusions_active(sp, bindings);
-  std::optional<ReplayState> replay;
-  if (t.want_tags) replay.emplace(*bindings.cache, infos.size());
+  const CompiledProgram& cp = sp.compiled;
+  SliceRun run(sp, bindings, fragments.size());
+  TileCtx& t = run.t;
+  SoaScratch& sc = run.sc;
+  ReplayState* replay = run.replay ? &*run.replay : nullptr;
+  const std::size_t tile = sc.stride;
   t.x0 = 0;
   t.y = 0;
-  for (std::size_t begin = 0; begin < fragments.size(); begin += kTile) {
-    const int lanes = static_cast<int>(
-        std::min<std::size_t>(kTile, fragments.size() - begin));
+  for (std::size_t begin = 0; begin < fragments.size(); begin += tile) {
+    const int lanes =
+        static_cast<int>(std::min(tile, fragments.size() - begin));
     t.lanes = lanes;
     for (int attr = 0; attr < 2; ++attr) {
       if (!(cp.texcoords_used & (1u << attr))) continue;
@@ -1455,26 +1443,8 @@ void run_soa_fragments(const SoaProgram& sp, const CompiledBindings& bindings,
         }
       }
     }
-    // Geometry passes execute every instruction and treat every fetch as
-    // dynamic: the static/uniform plans assume fullscreen texcoords.
-    for (std::size_t i = 0; i < cp.code.size(); ++i) {
-      if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
-      const CompiledIns& ci = cp.code[i];
-      if (ci.op == Opcode::TEX) {
-        soa_tex(ci, sp, t, /*fullscreen=*/false);
-      } else if (t.fuse_active && sp.dot_of[i] >= 0) {
-        exec_fused_dot(
-            ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
-      } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
-        exec_fused_tex(
-            ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
-      } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
-                 ci.op == Opcode::DP4) {
-        exec_scalar_or_dot(ci, sc, lanes);
-      } else {
-        exec_componentwise(ci, sc, lanes);
-      }
-    }
+    // The static/uniform plans assume fullscreen texcoords.
+    exec_tile(sp, t, replay, /*fullscreen=*/false);
     for (int k = 0; k < kMaxOutputs; ++k) {
       if (!(cp.outputs_written & (1u << k))) continue;
       Texture2D* target = bindings.targets[static_cast<std::size_t>(k)];
@@ -1487,7 +1457,6 @@ void run_soa_fragments(const SoaProgram& sp, const CompiledBindings& bindings,
         target->store(f.x, f.y, {r0[l], r1[l], r2[l], r3[l]});
       }
     }
-    if (t.want_tags) soa_replay(cp, t, *replay);
   }
   add_analytic_counters(cp, fragments.size(), counters);
 }

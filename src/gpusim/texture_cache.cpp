@@ -20,6 +20,9 @@ int pow2_shift(std::uint64_t v) {
 
 TextureCache::TextureCache(const TextureCacheConfig& config) : config_(config) {
   HS_ASSERT(config_.tile_size > 0 && config_.associativity > 0);
+  // Tags index tiles with a shift (make_tag, the SoA engine's replay).
+  tile_shift_ = pow2_shift(static_cast<std::uint64_t>(config_.tile_size));
+  HS_ASSERT_MSG(tile_shift_ >= 0, "texture-cache tile size must be a power of two");
   const std::uint64_t line_bytes =
       static_cast<std::uint64_t>(config_.tile_size) * config_.tile_size *
       config_.bytes_per_texel;
@@ -27,7 +30,6 @@ TextureCache::TextureCache(const TextureCacheConfig& config) : config_(config) {
   std::uint64_t sets = config_.total_bytes /
                        (line_bytes * static_cast<std::uint64_t>(config_.associativity));
   num_sets_ = static_cast<int>(std::max<std::uint64_t>(1, sets));
-  tile_shift_ = pow2_shift(static_cast<std::uint64_t>(config_.tile_size));
   ways4_ = config_.associativity == 4;
   if (pow2_shift(static_cast<std::uint64_t>(num_sets_)) >= 0) {
     set_mask_ = static_cast<std::uint64_t>(num_sets_) - 1;
@@ -47,42 +49,6 @@ void TextureCache::insert(Line* base, std::uint64_t tag) {
   }
   victim->tag = tag;
   victim->lru = ++stamp_;
-}
-
-std::uint64_t TextureCache::access_tags(const std::uint64_t* tags,
-                                        std::size_t n) {
-  std::uint64_t hits = 0;
-  if (ways4_ && set_mask_ != 0) {
-    // Default geometry: everything mutable lives in registers for the run.
-    // Probe order, lru updates and victim choice are exactly those of
-    // access_tag_quiet(), so the eviction sequence is identical.
-    Line* const lines = lines_.data();
-    const std::uint64_t mask = set_mask_;
-    std::uint64_t stamp = stamp_;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t tag = tags[i];
-      const std::uint64_t h = tag * 0x9E3779B97F4A7C15ULL;
-      const std::uint64_t set = (h >> 32) & mask;
-      Line* const p = lines + set * 4;
-      if (p[0].tag == tag) { p[0].lru = ++stamp; ++hits; continue; }
-      if (p[1].tag == tag) { p[1].lru = ++stamp; ++hits; continue; }
-      if (p[2].tag == tag) { p[2].lru = ++stamp; ++hits; continue; }
-      if (p[3].tag == tag) { p[3].lru = ++stamp; ++hits; continue; }
-      Line* v = p;
-      if (p[1].lru < v->lru) v = p + 1;
-      if (p[2].lru < v->lru) v = p + 2;
-      if (p[3].lru < v->lru) v = p + 3;
-      v->tag = tag;
-      v->lru = ++stamp;
-    }
-    stamp_ = stamp;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      hits += access_tag_quiet(tags[i]) ? 1u : 0u;
-    }
-  }
-  add_accesses(n, hits);
-  return hits;
 }
 
 void TextureCache::ReplaySession::replay_matrix(const std::uint64_t* const* rows,

@@ -17,7 +17,7 @@ namespace hs::gpusim {
 
 struct TextureCacheConfig {
   std::uint64_t total_bytes = 8 * 1024;  ///< capacity per pipe
-  int tile_size = 4;                     ///< tile edge, texels (lines are tile x tile)
+  int tile_size = 4;                     ///< tile edge, texels; a power of two
   int associativity = 4;                 ///< ways per set
   std::uint32_t bytes_per_texel = 16;    ///< RGBA32F by default
 };
@@ -55,9 +55,9 @@ class TextureCache {
   /// Records an access to texel (x, y) of texture `texture_id`.
   /// Returns true on hit. Tags are (texture_id, tile_x, tile_y).
   ///
-  /// Inline (and with shift/mask fast paths for the common power-of-two
-  /// tile size and set count) because both execution engines call this
-  /// once per texel fetch; it dominates cache-model overhead otherwise.
+  /// Inline (and with a mask fast path for a power-of-two set count)
+  /// because the interpreter calls this once per texel fetch; it
+  /// dominates cache-model overhead otherwise.
   bool access(std::uint32_t texture_id, int x, int y) {
     const bool hit = access_quiet(texture_id, x, y);
     ++stats_.accesses;
@@ -70,9 +70,7 @@ class TextureCache {
   }
 
   /// access() without the statistics updates: same tag/set/LRU behaviour,
-  /// same eviction sequence. Batch callers (the compiled engine's fetch
-  /// replay) count hits themselves and settle once via add_accesses(),
-  /// keeping per-pass statistics identical to per-call access().
+  /// same eviction sequence.
   bool access_quiet(std::uint32_t texture_id, int x, int y) {
     return access_tag_quiet(make_tag(texture_id, x, y));
   }
@@ -81,16 +79,10 @@ class TextureCache {
   /// are generous for any texture this library creates. Callers with the
   /// texture id pre-shifted can build tags themselves via tile_shift().
   std::uint64_t make_tag(std::uint32_t texture_id, int x, int y) const {
-    std::uint64_t tile_x, tile_y;
-    if (tile_shift_ >= 0) {
-      // Texel coordinates are wrap-resolved and therefore non-negative, so
-      // the shift matches the division below exactly.
-      tile_x = static_cast<std::uint32_t>(x) >> tile_shift_;
-      tile_y = static_cast<std::uint32_t>(y) >> tile_shift_;
-    } else {
-      tile_x = static_cast<std::uint64_t>(x / config_.tile_size);
-      tile_y = static_cast<std::uint64_t>(y / config_.tile_size);
-    }
+    // Texel coordinates are wrap-resolved and therefore non-negative, so
+    // the shift is the division by the (power-of-two) tile size.
+    const std::uint64_t tile_x = static_cast<std::uint32_t>(x) >> tile_shift_;
+    const std::uint64_t tile_y = static_cast<std::uint32_t>(y) >> tile_shift_;
     return (static_cast<std::uint64_t>(texture_id) << 48) | (tile_y << 24) |
            tile_x;
   }
@@ -186,13 +178,6 @@ class TextureCache {
     stats_.misses += count - hits;
   }
 
-  /// Probes `n` pre-built tags in order and settles statistics once;
-  /// equivalent to n access_tag_quiet() calls + add_accesses(). The batch
-  /// form keeps the recency stamp and line array in registers across the
-  /// whole run (per-call, the lru stores force the member to be reloaded).
-  /// Returns the number of hits.
-  std::uint64_t access_tags(const std::uint64_t* tags, std::size_t n);
-
   void flush();
 
   const TextureCacheConfig& config() const { return config_; }
@@ -201,7 +186,7 @@ class TextureCache {
 
   int num_sets() const { return num_sets_; }
 
-  /// log2(tile_size) when the tile size is a power of two, -1 otherwise.
+  /// log2(tile_size).
   int tile_shift() const { return tile_shift_; }
 
  private:
@@ -216,7 +201,7 @@ class TextureCache {
 
   TextureCacheConfig config_;
   int num_sets_;
-  int tile_shift_ = -1;        ///< log2(tile_size), or -1 if not a power of two
+  int tile_shift_ = 0;         ///< log2(tile_size)
   bool ways4_ = false;         ///< associativity == 4 (the default geometry)
   std::uint64_t set_mask_ = 0;  ///< num_sets_ - 1 if a power of two, else 0
   std::uint64_t stamp_ = 0;

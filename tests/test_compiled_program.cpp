@@ -1,7 +1,7 @@
-// Unit tests for the pre-decoded execution engine's compiler
-// (compiled_program.hpp): constant folding, dead-write elimination, the
-// program cache's keying and LRU policy, and bit-identity of the compiled
-// fast paths against the interpreter on hand-built corner-case programs.
+// Unit tests for the SoA engine's front end (compiled_program.hpp):
+// constant folding, dead-write elimination, the program cache's keying
+// and LRU policy, and bit-identity of the SoA engine against the
+// interpreter on hand-built corner-case programs.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +9,7 @@
 #include "gpusim/compiled_program.hpp"
 #include "gpusim/gpu_device.hpp"
 #include "gpusim/interpreter.hpp"
+#include "gpusim/soa_program.hpp"
 
 namespace hs::gpusim {
 namespace {
@@ -189,16 +190,22 @@ TEST(ProgramCacheTest, RecompilesOnlyOnChangedSpecialization) {
   const float4 c1[1] = {{1, 2, 3, 4}};
   const float4 c2[1] = {{5, 6, 7, 8}};
 
-  (void)cache.get(p, c1, {});
+  const auto first = cache.get(p, c1, {});
   EXPECT_EQ(cache.misses(), 1u);
-  (void)cache.get(p, c1, {});
+  const auto again = cache.get(p, c1, {});
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(first.get(), again.get()) << "a hit returns the cached lowering";
+  // The entry is the executable plan: front end plus second stage.
+  ASSERT_EQ(first->compiled.code.size(), 1u);
+  EXPECT_EQ(first->compiled.code[0].src[0].imm, float4(1.f, 2.f, 3.f, 4.f));
+  EXPECT_EQ(first->live_fullscreen.size(), 1u);
 
   // Same instructions, different constant *values*: a new specialization.
-  (void)cache.get(p, c2, {});
+  const auto other = cache.get(p, c2, {});
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(other->compiled.code[0].src[0].imm, float4(5.f, 6.f, 7.f, 8.f));
 }
 
 TEST(ProgramCacheTest, TextureShapeIsPartOfTheKey) {
@@ -211,9 +218,13 @@ TEST(ProgramCacheTest, TextureShapeIsPartOfTheKey) {
   });
   const Texture2D* bind_small[1] = {&small};
   const Texture2D* bind_large[1] = {&large};
-  (void)cache.get(p, {}, bind_small);
-  (void)cache.get(p, {}, bind_large);
+  const auto s = cache.get(p, {}, bind_small);
+  const auto l = cache.get(p, {}, bind_large);
   EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_NE(s.get(), l.get());
+  // texcoord0 sampled directly: a static fetch plan in either shape.
+  ASSERT_EQ(s->fetch.size(), 1u);
+  EXPECT_EQ(s->fetch[0].mode, SoaFetchPlan::Mode::Static);
   (void)cache.get(p, {}, bind_small);
   EXPECT_EQ(cache.hits(), 1u);
 }
@@ -231,20 +242,23 @@ TEST(ProgramCacheTest, EvictsLeastRecentlyUsed) {
   const FragmentProgram d = program_with_value(3.f);
 
   (void)cache.get(a, c, {});
-  (void)cache.get(b, c, {});
+  const auto held = cache.get(b, c, {});
   (void)cache.get(a, c, {});  // refresh a; b becomes LRU
   (void)cache.get(d, c, {});  // evicts b
   EXPECT_EQ(cache.size(), 2u);
+  // An evicted plan stays valid for whoever still holds it (a pass in
+  // flight keeps its shared_ptr for the whole draw).
+  EXPECT_EQ(held->compiled.code[0].src[0].imm, float4(2.f));
   (void)cache.get(a, c, {});
   EXPECT_EQ(cache.hits(), 2u);  // the refresh above plus this get
   (void)cache.get(b, c, {});    // must recompile
   EXPECT_EQ(cache.misses(), 4u);
 }
 
-// ---- compiled-vs-interpreter corner cases ----------------------------------
+// ---- SoA-vs-interpreter corner cases ---------------------------------------
 
 struct MiniPass {
-  static constexpr int kW = 70;  // crosses the 64-fragment tile boundary
+  static constexpr int kW = 300;  // a full 256-lane tile plus a partial one
   static constexpr int kH = 5;
 
   /// Draws `p` under both engines over identical random-ish inputs and
@@ -255,7 +269,7 @@ struct MiniPass {
     profile.fragment_pipes = 2;
     SimConfig ci, cc;
     ci.exec_engine = ExecEngine::Interpreter;
-    cc.exec_engine = ExecEngine::Compiled;
+    cc.exec_engine = ExecEngine::Soa;
     Device di(profile, ci), dc(profile, cc);
 
     std::vector<float4> data(kW * kH);
@@ -282,6 +296,7 @@ struct MiniPass {
     EXPECT_EQ(si.exec.tex_fetches, sc.exec.tex_fetches);
     EXPECT_EQ(si.cache.hits, sc.cache.hits);
     EXPECT_EQ(si.cache.misses, sc.cache.misses);
+    EXPECT_EQ(si.unique_tile_bytes, sc.unique_tile_bytes);
     EXPECT_EQ(si.modeled_seconds, sc.modeled_seconds);
     const auto& ri = di.texture(oi).raw();
     const auto& rc = dc.texture(oc).raw();
@@ -317,8 +332,8 @@ TEST(CompiledEngine, ScalarAndDotOpsMatchInterpreter) {
 }
 
 TEST(CompiledEngine, SwizzledTexCoordTakesGenericPathAndMatches) {
-  // coord .yx swaps s/t, so the fullscreen fast path must not engage --
-  // on a non-square target the transposed fetch goes out of range and
+  // coord .yx swaps s/t, so the fetch is dynamic, not static -- on a
+  // non-square target the transposed fetch goes out of range and
   // exercises every address mode's wrap logic.
   const FragmentProgram p = make_program({
       tex_ins(0, [] {
@@ -347,7 +362,7 @@ TEST(CompiledEngine, DeviceCountersUnaffectedByDce) {
   // A program with a dead write still reports the interpreter's counters.
   DeviceProfile profile = geforce_7800_gtx();
   profile.fragment_pipes = 2;
-  Device dev(profile);  // compiled engine is the default
+  Device dev(profile);  // the SoA engine is the default
   const TextureHandle out = dev.create_texture(8, 8, TextureFormat::RGBA32F);
   const FragmentProgram p = make_program({
       ins1(Opcode::MOV, RegFile::Temp, 0, 0xF, lit_src({1, 1, 1, 1})),  // dead

@@ -214,15 +214,17 @@ TEST(ParallelPipeline, UnmixBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ParallelPipeline, SoaEngineBitIdenticalAcrossWorkerCounts) {
-  // The SoA engine must reproduce the default (compiled) engine bit for
-  // bit at every worker count: engine choice and chunk parallelism are
-  // both invisible to outputs, counters, cache statistics and modeled
-  // time. workers = 1 pins the sequential SoA run itself to the compiled
+  // The SoA engine must reproduce the reference interpreter bit for bit
+  // at every worker count: engine choice and chunk parallelism are both
+  // invisible to outputs, counters, cache statistics and modeled time.
+  // workers = 1 pins the sequential SoA run itself to the interpreter
   // baseline; 7 covers the ragged final wave.
   const auto cube = random_cube(24, 18, 8, 11);
   const StructuringElement se = StructuringElement::square(1);
 
-  const AmcGpuReport base = morphology_gpu(cube, se, chunked_options(1));
+  AmcGpuOptions reference = chunked_options(1);
+  reference.sim.exec_engine = gpusim::ExecEngine::Interpreter;
+  const AmcGpuReport base = morphology_gpu(cube, se, reference);
   ASSERT_GE(base.chunk_count, 5u) << "scene must split into several chunks";
 
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {
@@ -244,8 +246,10 @@ TEST(ParallelPipeline, SoaUnmixBitIdenticalAcrossWorkerCounts) {
     const auto spectrum = random_cube(1, 1, 8, 100 + static_cast<std::uint64_t>(k));
     endmembers.emplace_back(spectrum.raw().begin(), spectrum.raw().end());
   }
+  AmcGpuOptions reference = chunked_options(1);
+  reference.sim.exec_engine = gpusim::ExecEngine::Interpreter;
   const GpuUnmixReport base =
-      unmix_gpu(cube, endmembers, chunked_options(1), /*download_abundances=*/true);
+      unmix_gpu(cube, endmembers, reference, /*download_abundances=*/true);
   ASSERT_GT(base.chunk_count, 1u);
 
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {

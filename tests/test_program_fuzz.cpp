@@ -3,9 +3,10 @@
 //   * the interpreter executes any valid program without faulting and its
 //     counters always reconcile with the program's static instruction mix;
 //   * device passes never write outside their render targets;
-//   * differential: the compiled and SoA engines reproduce the
-//     interpreter bit-for-bit -- outputs, counters, cache statistics,
-//     modeled time -- on fullscreen and geometry passes alike.
+//   * differential: the SoA engine reproduces the interpreter bit-for-bit
+//     -- outputs, counters, cache statistics, unique-tile traffic, modeled
+//     time -- on fullscreen and geometry passes alike, including
+//     fullscreen passes past the static-fetch float-exactness bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,7 +26,7 @@ namespace {
 /// texcoords / literals, and the last instruction writes the output.
 /// With `partial_masks`, extra partially-masked overwrites of live temps
 /// and of the output are interleaved (always valid: the overwritten temp
-/// is already fully initialized) -- these exercise the compiled engine's
+/// is already fully initialized) -- these exercise the SoA engine's
 /// write-mask handling and dead-write elimination.
 FragmentProgram random_program(util::Xoshiro256& rng, int max_ops,
                                int bound_textures,
@@ -219,21 +220,18 @@ TEST_P(ProgramFuzz, DevicePassesRunToCompletion) {
 
 // ---- engine differential --------------------------------------------------
 //
-// Three devices, identical in everything but the execution engine, are
-// fed identical programs, constants and texture contents. The compiled
-// and SoA engines must each reproduce the interpreter *bit for bit*: raw
-// output texels (memcmp, so NaNs compare too), execution counters,
-// texture-cache hit/miss statistics (LRU-order sensitive), unique-tile
-// traffic and modeled time.
+// Two devices, identical in everything but the execution engine, are fed
+// identical programs, constants and texture contents. The SoA engine must
+// reproduce the interpreter *bit for bit*: raw output texels (memcmp, so
+// NaNs compare too), execution counters, texture-cache hit/miss
+// statistics (LRU-order sensitive), unique-tile traffic and modeled time.
 
-struct EngineTrio {
+struct EnginePair {
   Device interp;
-  Device compiled;
   Device soa;
 
-  explicit EngineTrio(int pipes)
+  explicit EnginePair(int pipes)
       : interp(profile_for(pipes), config_for(ExecEngine::Interpreter)),
-        compiled(profile_for(pipes), config_for(ExecEngine::Compiled)),
         soa(profile_for(pipes), config_for(ExecEngine::Soa)) {}
 
   static DeviceProfile profile_for(int pipes) {
@@ -274,13 +272,15 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
   util::Xoshiro256 rng(GetParam() ^ 0xD1FFULL);
   const AddressMode modes[] = {AddressMode::ClampToEdge, AddressMode::Repeat,
                                AddressMode::ClampToBorder};
-  // Widths beyond kExecTileWidth exercise multi-tile rows; odd shapes
-  // exercise the partial final tile and uneven pipe partitions.
-  const std::pair<int, int> shapes[] = {{8, 8}, {70, 9}, {5, 3}, {64, 4}};
-  for (int trial = 0; trial < 8; ++trial) {
+  // Widths beyond the SoA engine's 256-lane tile exercise multi-tile rows
+  // and (300) a partial final tile; narrower widths exercise pass-sized
+  // scratch rows (70 -> 80-lane rows) and uneven pipe partitions.
+  const std::pair<int, int> shapes[] = {{8, 8}, {300, 5}, {5, 3},
+                                        {70, 9}, {512, 2}, {257, 3}};
+  for (int trial = 0; trial < 12; ++trial) {
     const int pipes = 1 + static_cast<int>(rng.uniform_int(4));
-    EngineTrio trio(pipes);
-    const auto [w, h] = shapes[trial % 4];
+    EnginePair pair(pipes);
+    const auto [w, h] = shapes[trial % 6];
     const AddressMode mode_a = modes[rng.uniform_int(3)];
     const AddressMode mode_b = modes[rng.uniform_int(3)];
 
@@ -294,9 +294,9 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
     }
     for (auto& v : data_b) v = static_cast<float>(rng.uniform(-4, 4));
 
-    TextureHandle in_a[3], in_b[3], out[3];
-    Device* devs[3] = {&trio.interp, &trio.compiled, &trio.soa};
-    for (int d = 0; d < 3; ++d) {
+    TextureHandle in_a[2], in_b[2], out[2];
+    Device* devs[2] = {&pair.interp, &pair.soa};
+    for (int d = 0; d < 2; ++d) {
       in_a[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F, mode_a);
       in_b[d] = devs[d]->create_texture(w, h, TextureFormat::R32F, mode_b);
       out[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F);
@@ -312,19 +312,16 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
     const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
                                  {-1, 0, 1, 2}, {4, 3, 2, 1}};
     for (int repeat = 0; repeat < 2; ++repeat) {  // second draw hits the cache
-      PassStats stats[3];
-      for (int d = 0; d < 3; ++d) {
+      PassStats stats[2];
+      for (int d = 0; d < 2; ++d) {
         const TextureHandle ins[2] = {in_a[d], in_b[d]};
         const TextureHandle outs[1] = {out[d]};
         stats[d] = devs[d]->draw(p, ins, constants, outs);
       }
-      for (int d = 1; d < 3; ++d) {
-        expect_identical_stats(stats[0], stats[d]);
-        expect_identical_texels(trio.interp, out[0], *devs[d], out[d]);
-      }
+      expect_identical_stats(stats[0], stats[1]);
+      expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
     }
-    EXPECT_GE(trio.compiled.program_cache().hits(), 1u);
-    EXPECT_GE(trio.soa.program_cache().hits(), 1u);
+    EXPECT_GE(pair.soa.program_cache().hits(), 1u);
   }
 }
 
@@ -332,7 +329,7 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
   util::Xoshiro256 rng(GetParam() ^ 0x6E0ULL);
   for (int trial = 0; trial < 6; ++trial) {
     const int pipes = 1 + static_cast<int>(rng.uniform_int(4));
-    EngineTrio trio(pipes);
+    EnginePair pair(pipes);
     const int w = 17, h = 11;
 
     std::vector<float4> data(static_cast<std::size_t>(w) * h);
@@ -343,16 +340,18 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
            static_cast<float>(rng.uniform(-4, 4))};
     }
 
-    TextureHandle in[3], out[3];
-    Device* devs[3] = {&trio.interp, &trio.compiled, &trio.soa};
-    for (int d = 0; d < 3; ++d) {
+    TextureHandle in[2], out[2];
+    Device* devs[2] = {&pair.interp, &pair.soa};
+    for (int d = 0; d < 2; ++d) {
       in[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F,
                                       AddressMode::Repeat);
       out[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F);
       devs[d]->upload(in[d], data);
     }
 
-    std::vector<Device::GeomFragment> frags(37);
+    // More fragments than one 256-lane tile (split unevenly across the
+    // pipes), so multi-tile slices and partial final tiles are covered.
+    std::vector<Device::GeomFragment> frags(37 + 300 * (trial % 3));
     for (auto& f : frags) {
       f.x = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(w)));
       f.y = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(h)));
@@ -366,16 +365,65 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
         random_program(rng, 16, 1, /*partial_masks=*/true);
     const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
                                  {-1, 0, 1, 2}, {4, 3, 2, 1}};
-    PassStats stats[3];
-    for (int d = 0; d < 3; ++d) {
+    PassStats stats[2];
+    for (int d = 0; d < 2; ++d) {
       const TextureHandle ins[1] = {in[d]};
       const TextureHandle outs[1] = {out[d]};
       stats[d] = devs[d]->draw_fragments(p, frags, ins, constants, outs);
     }
-    for (int d = 1; d < 3; ++d) {
-      expect_identical_stats(stats[0], stats[d]);
-      expect_identical_texels(trio.interp, out[0], *devs[d], out[d]);
+    expect_identical_stats(stats[0], stats[1]);
+    expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
+  }
+}
+
+// Static fetch plans resolve `floor((x + 0.5) + dx)` in integers as
+// x + dx, which the interpreter's float texcoords match only while
+// viewport plus offset stays below the exactness bound; a wider pass runs
+// in the SoA engine's generic mode (every instruction live, every fetch
+// resolved per lane). Past 2^23 the float spacing is 1, so x + 0.5f
+// rounds (to even) and a static plan would fetch a different texel than
+// the interpreter for every odd x: the width below makes a pass that
+// wrongly took the static path fail this test. A (2^23 + 37) x 1 R32F
+// neighbour-sampling pass with static offsets -- the paper's idiom, with
+// a partial final tile -- must match the interpreter bit for bit.
+TEST(ProgramFuzzBound, StaticOffsetsPastFloatExactnessBound) {
+  constexpr int kW = (1 << 23) + 37;
+  static_assert(static_cast<float>(kW - 2) + 0.5f != kW - 1.5,
+                "the width must reach where texcoords stop being exact");
+  const FragmentProgram p = assemble_or_die("neighbours",
+                                            "!!HSFP1.0\n"
+                                            "ADD R0, fragment.texcoord[0], c[0];\n"
+                                            "TEX R1, R0, texture[0];\n"
+                                            "ADD R2, fragment.texcoord[0], c[1];\n"
+                                            "TEX R3, R2, texture[0];\n"
+                                            "TEX R4, fragment.texcoord[0], texture[0];\n"
+                                            "SUB R5, R1, R3;\n"
+                                            "MAD result.color, R5, R4, c[2];\n"
+                                            "END\n");
+  const float4 constants[3] = {{3, 0, 0, 0}, {-2, 0, 0, 0}, {0.25f, 0, 0, 0}};
+  std::vector<float> data(static_cast<std::size_t>(kW));
+  util::Xoshiro256 rng(0xB0DULL);
+  for (auto& v : data) v = static_cast<float>(rng.uniform(-4, 4));
+
+  for (const AddressMode mode : {AddressMode::ClampToEdge, AddressMode::Repeat}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    EnginePair pair(2);
+    TextureHandle in[2], out[2];
+    Device* devs[2] = {&pair.interp, &pair.soa};
+    PassStats stats[2];
+    for (int d = 0; d < 2; ++d) {
+      in[d] = devs[d]->create_texture(kW, 1, TextureFormat::R32F, mode);
+      out[d] = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
+      devs[d]->upload(in[d], data);
+      const TextureHandle ins[1] = {in[d]};
+      const TextureHandle outs[1] = {out[d]};
+      stats[d] = devs[d]->draw(p, ins, constants, outs);
     }
+    EXPECT_EQ(stats[0].fragments, static_cast<std::uint64_t>(kW));
+    EXPECT_GT(stats[0].cache.accesses, 0u);
+    EXPECT_GT(stats[0].unique_tile_bytes, 0u);
+    expect_identical_stats(stats[0], stats[1]);
+    expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
   }
 }
 

@@ -118,6 +118,13 @@ TEST(TextureCache, LargerCacheHitsAtLeastAsOften) {
   EXPECT_LE(run(1024), run(64 * 1024));
 }
 
+TEST(TextureCache, NonPowerOfTwoTileIsFatal) {
+  // Tags index tiles with a shift, so the tile edge must be a power of two.
+  TextureCacheConfig cfg = small_config();
+  cfg.tile_size = 3;
+  EXPECT_DEATH(TextureCache cache(cfg), "power of two");
+}
+
 TEST(TextureCacheStats, Accumulate) {
   TextureCacheStats a{10, 7, 3};
   TextureCacheStats b{4, 2, 2};
