@@ -133,8 +133,7 @@ void BM_InterpreterTexFetch(benchmark::State& state) {
 BENCHMARK(BM_InterpreterTexFetch);
 
 void BM_TextureCacheAccess(benchmark::State& state) {
-  gpusim::TextureCacheConfig cfg;
-  gpusim::TextureCache cache(cfg);
+  gpusim::TextureCache cache(8 * 1024);
   int x = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.access(0, x & 63, (x >> 6) & 63));

@@ -44,7 +44,8 @@ struct DeviceProfile {
   /// GPGPU of this era paid tens of microseconds per glDraw + FBO rebind.
   double pass_overhead_s = 20e-6;
 
-  /// Texture L1 cache per pipe (bytes) and geometry; see TextureCacheConfig.
+  /// Texture L1 cache capacity per pipe (bytes); the geometry is fixed (see
+  /// TextureCache). Must give a power-of-two set count (1 KiB per set).
   std::uint64_t tex_cache_bytes_per_pipe = 8 * 1024;
 
   /// Shared L2 texture cache bandwidth, bytes/s. L1 misses are served from

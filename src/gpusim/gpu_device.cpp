@@ -60,11 +60,9 @@ Device::Device(DeviceProfile profile, SimConfig config)
       pool_(resolve_threads(config, profile_.fragment_pipes)) {
   HS_ASSERT(profile_.fragment_pipes > 0);
   program_cache_.set_shared_store(config_.shared_programs);
-  TextureCacheConfig cache_config;
-  cache_config.total_bytes = profile_.tex_cache_bytes_per_pipe;
   pipe_caches_.reserve(static_cast<std::size_t>(profile_.fragment_pipes));
   for (int p = 0; p < profile_.fragment_pipes; ++p) {
-    pipe_caches_.emplace_back(cache_config);
+    pipe_caches_.emplace_back(profile_.tex_cache_bytes_per_pipe);
   }
 }
 
@@ -240,7 +238,7 @@ Device::BoundPass Device::bind_pass(const FragmentProgram& program,
 }
 
 namespace {
-constexpr int kTrackerTile = TileTouchTracker::kTileSize;
+constexpr int kTrackerTile = TextureCache::kTileSize;
 }
 
 std::vector<TileTouchTracker> Device::make_tile_trackers(
@@ -290,8 +288,8 @@ PassStats Device::finalize_pass(const FragmentProgram& program,
     if (config_.texture_cache) {
       stats.cache += pipe_caches_[static_cast<std::size_t>(p)].stats();
       stats.cache_miss_bytes +=
-          pipe_caches_[static_cast<std::size_t>(p)].stats().miss_bytes(
-              pipe_caches_[static_cast<std::size_t>(p)].config());
+          pipe_caches_[static_cast<std::size_t>(p)].stats().misses *
+          TextureCache::kLineBytes;
       pipe_caches_[static_cast<std::size_t>(p)].reset_stats();
     }
   }

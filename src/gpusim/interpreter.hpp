@@ -44,10 +44,10 @@ struct ExecCounters {
 /// simulated pipe; the device ORs them afterwards). The unique-tile count
 /// is the pass's *compulsory* DRAM traffic: repeat fetches of a tile are
 /// absorbed by the L1/L2 texture-cache hierarchy, but the first touch must
-/// stream the tile from video memory.
+/// stream the tile from video memory. Tiles are the texture cache's
+/// (TextureCache::kTileSize texels on an edge), the DRAM burst granule of
+/// the timing model.
 struct TileTouchTracker {
-  /// Tile edge, texels: the DRAM burst granule of the timing model.
-  static constexpr int kTileSize = 4;
   /// Per texture unit: byte-per-tile bitmap, row pitch tiles_x[unit].
   std::vector<std::vector<std::uint8_t>> units;
   std::vector<int> tiles_x;
@@ -55,9 +55,10 @@ struct TileTouchTracker {
   void touch(std::size_t unit, int x, int y) {
     if (unit >= units.size() || units[unit].empty()) return;
     // Resolved texel coordinates are non-negative, so the shift is the
-    // division by kTileSize.
-    const std::size_t tx = static_cast<std::uint32_t>(x) >> 2;
-    const std::size_t ty = static_cast<std::uint32_t>(y) >> 2;
+    // division by the tile size.
+    constexpr int kShift = TextureCache::kTileShift;
+    const std::size_t tx = static_cast<std::uint32_t>(x) >> kShift;
+    const std::size_t ty = static_cast<std::uint32_t>(y) >> kShift;
     units[unit][ty * static_cast<std::size_t>(tiles_x[unit]) + tx] = 1;
   }
 };

@@ -46,12 +46,10 @@ constexpr std::int32_t kMaxStaticOffset = 1 << 20;
 /// run_soa_rows runs a pass past it in generic mode.
 constexpr std::int64_t kMaxExactCoord = std::int64_t{1} << 21;
 
-static_assert(TileTouchTracker::kTileSize == 4,
-              "tracker marks below index tiles with >> 2");
+/// Tile-touch tracker tiles are the texture cache's tiles; tracker marks
+/// index them with this shift.
+constexpr int kTileShift = TextureCache::kTileShift;
 
-/// Replay-tag sentinel for a border-color (uncounted) fetch lane; the
-/// cache's replay_matrix() skips these lanes (see TextureCache::kSkipTag).
-constexpr std::uint64_t kTagSkip = TextureCache::kSkipTag;
 /// Resolved-index sentinel for a border-color fetch lane. Real resolved
 /// coordinates are in-range and never negative, so it cannot collide.
 constexpr std::int32_t kIdxSkip = std::numeric_limits<std::int32_t>::min();
@@ -120,11 +118,7 @@ SoaProgram lower_soa(CompiledProgram compiled) {
       SoaFetchPlan& plan = sp.fetch[static_cast<std::size_t>(ci.tex_slot)];
       const CompiledSrc& cs = ci.src[0];
       Fact base;
-      if (cs.kind == CompiledSrc::Kind::Imm) {
-        plan.mode = SoaFetchPlan::Mode::Uniform;
-        plan.ux = cs.imm[0];
-        plan.uy = cs.imm[1];
-      } else if (coord_base(cs, facts, base)) {
+      if (coord_base(cs, facts, base)) {
         plan.mode = SoaFetchPlan::Mode::Static;
         plan.dx = base.dx;
         plan.dy = base.dy;
@@ -323,9 +317,9 @@ SoaProgram lower_soa(CompiledProgram compiled) {
   }
 
   // Backward liveness for runtime DCE: like the compile-time pass, except
-  // a Static/Uniform TEX does not consume its coordinate source (the
-  // executor synthesizes the coordinates), so ALU feeding only such
-  // fetches goes dead *in fullscreen-row mode*. Consumption is marked
+  // a Static TEX does not consume its coordinate source (the executor
+  // synthesizes the coordinates), so ALU feeding only such fetches goes
+  // dead *in fullscreen-row mode*. Consumption is marked
   // with the instruction's full write mask (a superset of any narrower
   // use), so every lane a surviving instruction reads has a surviving
   // producer -- no stale or uninitialized row is ever read.
@@ -634,7 +628,6 @@ void exec_scalar_or_dot(const CompiledIns& ci, SoaScratch& sc, int lanes) {
 
 /// Tile-invariant per-slot state, hoisted once per pass slice.
 struct SlotInfo {
-  std::uint64_t tag_hi = 0;       ///< texture id pre-shifted into the tag
   std::uint8_t* bitmap = nullptr; ///< tracker bitmap, null when disabled
   std::size_t pitch = 0;
   std::uint32_t id = 0;
@@ -645,14 +638,14 @@ struct SlotInfo {
 struct SlotRT {
   enum Kind : std::uint8_t {
     kNone,   ///< no probes (no cache, or an all-border tile)
-    kArith,  ///< tag = row_tag | (clamp(x0 + lane + dx, xlo, xhi) >> ts)
-    kTags,   ///< per-lane materialized tags; kTagSkip lanes don't probe
+    kArith,  ///< tag of texel (clamp(x0 + lane + dx, 0, xmax), y)
+    kTags,   ///< per-lane materialized tags; kNoTag lanes (border-colored
+             ///< fetches) don't probe
   };
   Kind kind = kNone;
   std::int32_t dx = 0;
-  std::int32_t xlo = 0;
-  std::int32_t xhi = 0;
-  std::uint64_t row_tag = 0;
+  std::int32_t xmax = 0;
+  std::int32_t y = 0;
   const std::uint64_t* tags = nullptr;
 };
 
@@ -665,7 +658,6 @@ struct TileCtx {
   int lanes = 0;
   int x0 = 0;
   int y = 0;
-  int ts = 0;             ///< cache tile shift, valid when want_tags
   bool want_tags = false; ///< cache attached: build replay tags
   /// Per-pass fusion switch: lowered gather->ALU annotations validated
   /// against the bound textures (see fusions_active()).
@@ -884,7 +876,7 @@ void soa_tex_static(const CompiledIns& ci, const SoaFetchPlan& plan,
           if (d[1]) d[1][l] = bc.y;
           if (d[2]) d[2][l] = bc.z;
           if (d[3]) d[3][l] = bc.w;
-          tags[l] = kTagSkip;
+          tags[l] = TextureCache::kNoTag;
           continue;
         }
         const int m = xi % w;
@@ -895,16 +887,10 @@ void soa_tex_static(const CompiledIns& ci, const SoaFetchPlan& plan,
       if (d[1]) d[1][l] = v.y;
       if (d[2]) d[2][l] = v.z;
       if (d[3]) d[3][l] = v.w;
-      if (t.want_tags) {
-        tags[l] = info.tag_hi |
-                  (static_cast<std::uint64_t>(
-                       static_cast<std::uint32_t>(yi) >> t.ts)
-                   << 24) |
-                  (static_cast<std::uint32_t>(xi) >> t.ts);
-      }
+      if (t.want_tags) tags[l] = TextureCache::tag(info.id, xi, yi);
       if (info.bitmap != nullptr) {
-        info.bitmap[(static_cast<std::uint32_t>(yi) >> 2) * info.pitch +
-                    (static_cast<std::uint32_t>(xi) >> 2)] = 1;
+        info.bitmap[(static_cast<std::uint32_t>(yi) >> kTileShift) * info.pitch +
+                    (static_cast<std::uint32_t>(xi) >> kTileShift)] = 1;
       }
     }
     if (t.want_tags) {
@@ -943,53 +929,15 @@ void soa_tex_static(const CompiledIns& ci, const SoaFetchPlan& plan,
   if (t.want_tags) {
     rt.kind = SlotRT::kArith;
     rt.dx = plan.dx;
-    rt.xlo = 0;
-    rt.xhi = w - 1;
-    rt.row_tag = info.tag_hi |
-                 (static_cast<std::uint64_t>(
-                      static_cast<std::uint32_t>(yi) >> t.ts)
-                  << 24);
+    rt.xmax = w - 1;
+    rt.y = yi;
   }
   if (info.bitmap != nullptr) {
     std::uint8_t* row =
-        info.bitmap + (static_cast<std::uint32_t>(yi) >> 2) * info.pitch;
-    const int tx0 = std::clamp(xr0, 0, w - 1) >> 2;
-    const int tx1 = std::clamp(xr1, 0, w - 1) >> 2;
+        info.bitmap + (static_cast<std::uint32_t>(yi) >> kTileShift) * info.pitch;
+    const int tx0 = std::clamp(xr0, 0, w - 1) >> kTileShift;
+    const int tx1 = std::clamp(xr1, 0, w - 1) >> kTileShift;
     for (int tx = tx0; tx <= tx1; ++tx) row[tx] = 1;
-  }
-}
-
-/// Uniform fetch: one resolve, broadcast into the destination rows, one
-/// constant replay tag per lane.
-void soa_tex_uniform(const CompiledIns& ci, const SoaFetchPlan& plan,
-                     TileCtx& t) {
-  const Texture2D* tex = t.b->textures[ci.tex_unit];
-  SoaScratch& sc = *t.sc;
-  float* d[4] = {nullptr, nullptr, nullptr, nullptr};
-  for (int c = 0; c < 4; ++c) {
-    if (ci.write_mask & (1u << c)) d[c] = dst_row(ci, c, sc);
-  }
-  int xi, yi;
-  if (!tex->resolve(plan.ux, plan.uy, xi, yi)) {
-    fill_rows(d, tex->border_color(), 0, t.lanes);
-    return;  // border fetches are uncounted: no probes, no marks
-  }
-  fill_rows(d, tex->load(xi, yi), 0, t.lanes);
-  const SlotInfo& info = t.info[ci.tex_slot];
-  SlotRT& rt = t.rt[ci.tex_slot];
-  if (t.want_tags) {
-    rt.kind = SlotRT::kArith;
-    rt.dx = 0;
-    rt.xlo = xi;  // clamp to [xi, xi]: every lane probes the same tag
-    rt.xhi = xi;
-    rt.row_tag = info.tag_hi |
-                 (static_cast<std::uint64_t>(
-                      static_cast<std::uint32_t>(yi) >> t.ts)
-                  << 24);
-  }
-  if (info.bitmap != nullptr) {
-    info.bitmap[(static_cast<std::uint32_t>(yi) >> 2) * info.pitch +
-                (static_cast<std::uint32_t>(xi) >> 2)] = 1;
   }
 }
 
@@ -1151,26 +1099,17 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
   }
   if (t.want_tags) {
     std::uint64_t* HS_RESTRICT tags = sc.tag_row(ci.tex_slot);
-    const std::uint64_t tag_hi = info.tag_hi;
-    const int ts = t.ts;
+    const std::uint32_t id = info.id;
     if (may_skip) {
       HS_SOA_SIMD
       for (int l = 0; l < t.lanes; ++l) {
-        const std::uint64_t tag =
-            tag_hi |
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ys[l]) >> ts)
-             << 24) |
-            (static_cast<std::uint32_t>(xs[l]) >> ts);
-        tags[l] = xs[l] == kIdxSkip ? kTagSkip : tag;
+        const std::uint64_t tag = TextureCache::tag(id, xs[l], ys[l]);
+        tags[l] = xs[l] == kIdxSkip ? TextureCache::kNoTag : tag;
       }
     } else {
       HS_SOA_SIMD
       for (int l = 0; l < t.lanes; ++l) {
-        tags[l] =
-            tag_hi |
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ys[l]) >> ts)
-             << 24) |
-            (static_cast<std::uint32_t>(xs[l]) >> ts);
+        tags[l] = TextureCache::tag(id, xs[l], ys[l]);
       }
     }
     rt.kind = SlotRT::kTags;
@@ -1179,8 +1118,8 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
   if (info.bitmap != nullptr) {
     for (int l = 0; l < t.lanes; ++l) {
       if (xs[l] == kIdxSkip) continue;
-      info.bitmap[(static_cast<std::uint32_t>(ys[l]) >> 2) * info.pitch +
-                  (static_cast<std::uint32_t>(xs[l]) >> 2)] = 1;
+      info.bitmap[(static_cast<std::uint32_t>(ys[l]) >> kTileShift) * info.pitch +
+                  (static_cast<std::uint32_t>(xs[l]) >> kTileShift)] = 1;
     }
   }
 }
@@ -1193,10 +1132,6 @@ void soa_tex(const CompiledIns& ci, const SoaProgram& sp, TileCtx& t,
         sp.fetch[static_cast<std::size_t>(ci.tex_slot)];
     if (plan.mode == SoaFetchPlan::Mode::Static) {
       soa_tex_static(ci, plan, t);
-      return;
-    }
-    if (plan.mode == SoaFetchPlan::Mode::Uniform) {
-      soa_tex_uniform(ci, plan, t);
       return;
     }
   }
@@ -1230,16 +1165,13 @@ void soa_replay(const CompiledProgram& cp, TileCtx& t, ReplayState& rs) {
     if (rt.kind == SlotRT::kNone) continue;
     if (rt.kind == SlotRT::kArith) {
       std::uint64_t* HS_RESTRICT tags = sc.tag_row(static_cast<int>(s));
-      const std::uint64_t row_tag = rt.row_tag;
+      const std::uint32_t id = t.info[s].id;
       const std::int32_t base = t.x0 + rt.dx;
-      const std::int32_t xlo = rt.xlo;
-      const std::int32_t xhi = rt.xhi;
-      const int ts = t.ts;
+      const std::int32_t xmax = rt.xmax;
+      const std::int32_t y = rt.y;
       HS_SOA_SIMD
       for (int l = 0; l < t.lanes; ++l) {
-        std::int32_t xi = base + l;
-        xi = xi < xlo ? xlo : (xi > xhi ? xhi : xi);
-        tags[l] = row_tag | (static_cast<std::uint32_t>(xi) >> ts);
+        tags[l] = TextureCache::tag(id, std::clamp(base + l, 0, xmax), y);
       }
       rs.rows[static_cast<std::size_t>(na++)] = tags;
     } else {
@@ -1304,7 +1236,6 @@ std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
     info.unit = cp.tex_unit_of_fetch[s];
     info.id = info.unit < b.texture_ids.size() ? b.texture_ids[info.unit]
                                                : info.unit;
-    info.tag_hi = static_cast<std::uint64_t>(info.id) << 48;
     if (b.tiles != nullptr && info.unit < b.tiles->units.size() &&
         !b.tiles->units[info.unit].empty()) {
       info.bitmap = b.tiles->units[info.unit].data();
@@ -1332,7 +1263,6 @@ struct SliceRun {
     t.info = infos.data();
     t.rt = rts.data();
     t.want_tags = b.cache != nullptr;
-    t.ts = t.want_tags ? b.cache->tile_shift() : 0;
     t.fuse_active = fusions_active(sp, b);
     if (t.want_tags) replay.emplace(*b.cache, infos.size());
   }
@@ -1342,7 +1272,7 @@ struct SliceRun {
 
 /// Runs the program over the current tile (t.lanes lanes, texcoords
 /// already in place) and replays its fetches. Fullscreen mode uses the
-/// static/uniform fetch plans and skips runtime-dead coordinate ALU;
+/// static fetch plans and skips runtime-dead coordinate ALU;
 /// generic mode executes every instruction with every fetch dynamic.
 void exec_tile(const SoaProgram& sp, TileCtx& t, ReplayState* replay,
                bool fullscreen) {
@@ -1443,7 +1373,7 @@ void run_soa_fragments(const SoaProgram& sp, const CompiledBindings& bindings,
         }
       }
     }
-    // The static/uniform plans assume fullscreen texcoords.
+    // The static plans assume fullscreen texcoords.
     exec_tile(sp, t, replay, /*fullscreen=*/false);
     for (int k = 0; k < kMaxOutputs; ++k) {
       if (!(cp.outputs_written & (1u << k))) continue;

@@ -15,15 +15,14 @@
 //     texel-row copy, edge lanes take scalar clamp fixups, the cache-line
 //     tags are synthesized arithmetically during replay, and tile-touch
 //     marks collapse to one range mark per tile.
-//   * UNIFORM fetches -- a pass-uniform immediate coordinate: resolved
-//     once, broadcast into the destination rows, one constant tag.
-//   * DYNAMIC fetches -- everything else: the per-lane resolve is split
-//     into separately vectorizable floor / wrap / gather loops over
-//     restrict-qualified SoA planes (the RGBA channels of a register are
-//     independent rows, so each loop is a flat lane loop).
+//   * DYNAMIC fetches -- everything else, including fetches at an
+//     immediate coordinate (no shipped shader has one): the per-lane
+//     resolve is split into separately vectorizable floor / wrap / gather
+//     loops over restrict-qualified SoA planes (the RGBA channels of a
+//     register are independent rows, so each loop is a flat lane loop).
 //
-// Coordinate ALU that feeds only static/uniform fetches is skipped at run
-// time in fullscreen-row mode (runtime DCE; ALU counters are analytic, so
+// Coordinate ALU that feeds only static fetches is skipped at run time
+// in fullscreen-row mode (runtime DCE; ALU counters are analytic, so
 // modeled work is unchanged). Geometry passes -- and fullscreen passes
 // past the float-exactness bound -- run in generic mode instead: every
 // instruction executes and every fetch is dynamic, which reproduces the
@@ -33,7 +32,8 @@
 // major, TEX slots in program order within each fragment. Each tile first
 // materializes every probing slot's cache-line tags into a flat tag row
 // (arithmetic recipes in one SIMD loop, dynamic fetches as a byproduct of
-// their resolve), then hands the compacted lane-major tag matrix to
+// their resolve; both through TextureCache::tag(), the one owner of the
+// tag format), then hands the compacted lane-major tag matrix to
 // TextureCache::ReplaySession::replay_matrix(), whose register-resident
 // probe loop only loads finished tags.
 //
@@ -47,9 +47,9 @@
 // Exactness guarantee: for any validated program the outputs,
 // ExecCounters, texture-cache statistics, tile-touch bitmaps and therefore
 // modeled times are bit-identical to the interpreter's. There is no
-// fallback engine: texture-cache tiles are a power of two and tracker
-// tiles are 4x4 by construction (TextureCache, TileTouchTracker), and the
-// one data-dependent limit, the float-exactness bound, selects generic
+// fallback engine: the texture-cache geometry is fixed and tracker tiles
+// are the cache's tiles (TextureCache::kTileShift), and the one
+// data-dependent limit, the float-exactness bound, selects generic
 // mode within this engine.
 #pragma once
 
@@ -66,13 +66,10 @@ struct SoaFetchPlan {
   enum class Mode : std::uint8_t {
     Dynamic,  ///< per-lane floor/wrap of computed coordinate rows
     Static,   ///< texcoord0.xy + integer (dx, dy): analytic resolve
-    Uniform,  ///< pass-uniform immediate coordinate: one resolve per tile
   };
   Mode mode = Mode::Dynamic;
   std::int32_t dx = 0;  ///< Static only
   std::int32_t dy = 0;
-  float ux = 0.f;  ///< Uniform only: the immediate coordinate
-  float uy = 0.f;
 };
 
 /// Gather->ALU fusion record: a componentwise two-source instruction whose
@@ -102,8 +99,8 @@ struct SoaProgram {
   CompiledProgram compiled;
   std::vector<SoaFetchPlan> fetch;  ///< per fetch slot, program order
   /// Per instruction: 1 = executes in fullscreen-row mode, 0 = its writes
-  /// feed only static/uniform fetch coordinates, which the executor
-  /// synthesizes analytically (runtime DCE). Ignored in geometry passes.
+  /// feed only static fetch coordinates, which the executor synthesizes
+  /// analytically (runtime DCE). Ignored in geometry passes.
   std::vector<char> live_fullscreen;
   /// Per instruction: index into `fused` when the instruction carries a
   /// gather->ALU fusion, -1 otherwise. Fusions activate only when every

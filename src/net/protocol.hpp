@@ -37,13 +37,14 @@
 #include <string_view>
 
 #include "serve/job.hpp"
+#include "trace/json_check.hpp"
 
 namespace hs::net {
 
 inline constexpr const char* kProtocolName = "hs.net.v1";
 
 /// JSON string escaping for frame payloads (RFC 8259 minimal set).
-std::string json_escape(std::string_view s);
+using trace::json_escape;
 
 std::string hello_frame(std::size_t max_frame_bytes);
 std::string result_frame(const serve::JobResult& result, bool has_client_id,

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -16,29 +15,7 @@ namespace hs::serve {
 namespace {
 
 using trace::json::Value;
-
-std::string request_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using trace::json_escape;
 
 bool set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
@@ -196,7 +173,7 @@ std::string to_request_line(const JobSpec& spec,
   os << '{';
   if (client_id) os << "\"id\":" << *client_id << ',';
   if (!spec.name.empty()) {
-    os << "\"name\":\"" << request_json_escape(spec.name) << "\",";
+    os << "\"name\":\"" << json_escape(spec.name) << "\",";
   }
   os << "\"kind\":\"" << to_string(spec.kind) << "\""
      << ",\"priority\":\"" << to_string(spec.priority) << "\"";
@@ -207,7 +184,7 @@ std::string to_request_line(const JobSpec& spec,
   }
   if (spec.max_retries > 0) os << ",\"retries\":" << spec.max_retries;
   if (!spec.scene.envi_path.empty()) {
-    os << ",\"envi\":\"" << request_json_escape(spec.scene.envi_path) << "\"";
+    os << ",\"envi\":\"" << json_escape(spec.scene.envi_path) << "\"";
   }
   // The synthetic-scene fields stay in the fingerprint even for ENVI jobs
   // (seed feeds the endmember generator), so always emit them.

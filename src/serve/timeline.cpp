@@ -5,32 +5,13 @@
 #include <fstream>
 #include <ostream>
 
+#include "trace/json_check.hpp"
+
 namespace hs::serve {
 
 namespace {
 
-std::string timeline_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using trace::json_escape;
 
 std::string ms(double seconds) {
   if (!std::isfinite(seconds)) return "0";
@@ -46,11 +27,11 @@ void write_timeline_json(std::ostream& os, const JobResult& r) {
   std::snprintf(hash, sizeof hash, "%016llx",
                 static_cast<unsigned long long>(r.output_hash));
   os << "{\n  \"schema\": \"hs.timeline.v1\",\n  \"id\": " << r.id
-     << ",\n  \"name\": \"" << timeline_json_escape(r.name)
+     << ",\n  \"name\": \"" << json_escape(r.name)
      << "\",\n  \"kind\": \"" << to_string(r.kind)
      << "\",\n  \"priority\": \"" << to_string(r.priority)
      << "\",\n  \"state\": \"" << to_string(r.state)
-     << "\",\n  \"detail\": \"" << timeline_json_escape(r.detail)
+     << "\",\n  \"detail\": \"" << json_escape(r.detail)
      << "\",\n  \"attempts\": " << r.attempts
      << ",\n  \"cached\": " << (r.cached ? "true" : "false")
      << ",\n  \"queue_ms\": " << ms(r.queue_seconds)
@@ -61,8 +42,8 @@ void write_timeline_json(std::ostream& os, const JobResult& r) {
   for (std::size_t i = 0; i < r.timeline.size(); ++i) {
     const TimelineEvent& ev = r.timeline[i];
     os << "    {\"t_ms\": " << ms(ev.t_seconds) << ", \"what\": \""
-       << timeline_json_escape(ev.what) << "\", \"detail\": \""
-       << timeline_json_escape(ev.detail) << "\"}"
+       << json_escape(ev.what) << "\", \"detail\": \""
+       << json_escape(ev.detail) << "\"}"
        << (i + 1 < r.timeline.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";

@@ -12,36 +12,10 @@
 #include <ostream>
 #include <vector>
 
+#include "trace/json_check.hpp"
 #include "util/log.hpp"
 
 namespace hs::trace {
-
-namespace {
-
-std::string flight_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 #if HS_TRACE_ENABLED
 
@@ -173,16 +147,16 @@ void reset_flight_recorder() {
 void write_flight_json(std::ostream& os, std::string_view reason) {
   const std::vector<FlightEvent> events = flight_snapshot();
   os << "{\n  \"schema\": \"hs.flight.v1\",\n  \"reason\": \""
-     << flight_json_escape(reason) << "\",\n  \"recorded_total\": "
+     << json_escape(reason) << "\",\n  \"recorded_total\": "
      << flight_recorded_total() << ",\n  \"events\": [\n";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& ev = events[i];
     char ts[64];
     std::snprintf(ts, sizeof ts, "%.3f", static_cast<double>(ev.t_ns) / 1e3);
     os << "    {\"t_us\": " << ts << ", \"tid\": " << ev.tid << ", \"job\": "
-       << ev.job << ", \"kind\": \"" << flight_json_escape(ev.kind)
+       << ev.job << ", \"kind\": \"" << json_escape(ev.kind)
        << "\", \"a\": " << ev.a << ", \"b\": " << ev.b << ", \"detail\": \""
-       << flight_json_escape(ev.detail) << "\"}";
+       << json_escape(ev.detail) << "\"}";
     os << (i + 1 < events.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";

@@ -19,18 +19,6 @@ constexpr int kBucketCount = (kMaxExp - kMinExp) * kSubBuckets + 2;
 
 double pow2(int e) { return std::ldexp(1.0, e); }
 
-int raw_bucket_index(double seconds) {
-  if (!(seconds > 0) || !std::isfinite(seconds)) return 0;
-  if (seconds < pow2(kMinExp)) return 0;
-  if (seconds >= pow2(kMaxExp)) return kBucketCount - 1;
-  int exp = 0;
-  const double mant = std::frexp(seconds, &exp);  // seconds = mant * 2^exp
-  const int octave = exp - 1;                     // [2^octave, 2^(octave+1))
-  int sub = static_cast<int>((mant - 0.5) * 2.0 * kSubBuckets);
-  sub = std::clamp(sub, 0, kSubBuckets - 1);
-  return (octave - kMinExp) * kSubBuckets + sub + 1;
-}
-
 double raw_bucket_lower(int index) {
   if (index <= 0) return 0;
   if (index >= kBucketCount - 1) return pow2(kMaxExp);
@@ -82,6 +70,23 @@ double HistogramSnapshot::quantile(double q) const {
 }
 
 #if HS_TRACE_ENABLED
+
+namespace {
+
+/// Bucket of a sample; only the live Histogram records samples.
+int raw_bucket_index(double seconds) {
+  if (!(seconds > 0) || !std::isfinite(seconds)) return 0;
+  if (seconds < pow2(kMinExp)) return 0;
+  if (seconds >= pow2(kMaxExp)) return kBucketCount - 1;
+  int exp = 0;
+  const double mant = std::frexp(seconds, &exp);  // seconds = mant * 2^exp
+  const int octave = exp - 1;                     // [2^octave, 2^(octave+1))
+  int sub = static_cast<int>((mant - 0.5) * 2.0 * kSubBuckets);
+  sub = std::clamp(sub, 0, kSubBuckets - 1);
+  return (octave - kMinExp) * kSubBuckets + sub + 1;
+}
+
+}  // namespace
 
 int Histogram::bucket_index(double seconds) { return raw_bucket_index(seconds); }
 double Histogram::bucket_lower(int index) { return raw_bucket_lower(index); }

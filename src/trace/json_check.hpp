@@ -7,6 +7,9 @@
 // comments, no trailing commas) sized for trace files, not a general
 // library: numbers become doubles, objects keep insertion order.
 //
+// It also holds the one JSON string escaper every hand-serializing writer
+// in the library uses (trace, flight recorder, snapshots, serve, net).
+//
 // This header is compiled unconditionally (independent of HS_TRACE) so an
 // HS_TRACE=OFF build can still validate the empty documents it writes.
 #pragma once
@@ -16,6 +19,15 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+namespace hs::trace {
+
+/// Escapes `s` for use inside a JSON string literal: quote, backslash,
+/// \n, \r and \t get their short escapes, other control characters
+/// \u00XX (RFC 8259 minimal set).
+std::string json_escape(std::string_view s);
+
+}  // namespace hs::trace
 
 namespace hs::trace::json {
 

@@ -8,34 +8,12 @@
 #include <ostream>
 
 #include "trace/histogram.hpp"
+#include "trace/json_check.hpp"
 #include "trace/trace.hpp"
 
 namespace hs::trace {
 
 namespace {
-
-std::string snap_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Integral values print as integers so counters stay exact.
 std::string snap_json_number(double v) {
@@ -66,18 +44,18 @@ void write_snapshot_json(std::ostream& os, std::string_view name,
   const auto histograms = histograms_snapshot();
 
   os << "{\n  \"schema\": \"hs.snapshot.v1\",\n  \"name\": \""
-     << snap_json_escape(name) << "\",\n  \"sequence\": " << sequence
+     << json_escape(name) << "\",\n  \"sequence\": " << sequence
      << ",\n  \"uptime_ms\": " << snap_json_number(uptime_ms)
      << ",\n  \"metrics\": [\n";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
-    os << "    {\"name\": \"" << snap_json_escape(metrics[i].first)
+    os << "    {\"name\": \"" << json_escape(metrics[i].first)
        << "\", \"value\": " << snap_json_number(metrics[i].second) << "}"
        << (i + 1 < metrics.size() ? ",\n" : "\n");
   }
   os << "  ],\n  \"histograms\": [\n";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSnapshot& h = histograms[i].second;
-    os << "    {\"name\": \"" << snap_json_escape(histograms[i].first)
+    os << "    {\"name\": \"" << json_escape(histograms[i].first)
        << "\", \"count\": " << h.count
        << ", \"sum_ms\": " << snap_json_number(h.sum * 1e3)
        << ", \"min_ms\": " << snap_json_number(h.min * 1e3)

@@ -14,6 +14,7 @@
 
 #include "trace/flight_recorder.hpp"
 #include "trace/histogram.hpp"
+#include "trace/json_check.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -21,29 +22,6 @@
 namespace hs::trace {
 
 namespace {
-
-[[maybe_unused]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Integral values print as integers so counters stay exact in JSON.
 [[maybe_unused]] std::string json_number(double v) {

@@ -241,8 +241,7 @@ TEST(Interpreter, TexCacheRecordsAccesses) {
   Texture2D tex(8, 8, TextureFormat::RGBA32F);
   const Texture2D* textures[1] = {&tex};
   const std::uint32_t ids[1] = {42};
-  TextureCacheConfig cfg;
-  TextureCache cache(cfg);
+  TextureCache cache(8 * 1024);
   const auto program = assemble_or_die("cached",
                                        "!!HSFP1.0\n"
                                        "TEX R0, fragment.texcoord[0], texture[0];\n"

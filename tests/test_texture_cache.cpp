@@ -2,20 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
+#include <vector>
+
 namespace hs::gpusim {
 namespace {
 
-TextureCacheConfig small_config() {
-  TextureCacheConfig cfg;
-  cfg.total_bytes = 4 * 1024;
-  cfg.tile_size = 4;
-  cfg.associativity = 2;
-  cfg.bytes_per_texel = 16;
-  return cfg;
-}
+constexpr std::uint64_t kSmallBytes = 4 * 1024;  // 4 sets
 
 TEST(TextureCache, FirstAccessMissesSecondHits) {
-  TextureCache cache(small_config());
+  TextureCache cache(kSmallBytes);
   EXPECT_FALSE(cache.access(0, 5, 5));
   EXPECT_TRUE(cache.access(0, 5, 5));
   EXPECT_EQ(cache.stats().accesses, 2u);
@@ -24,7 +21,7 @@ TEST(TextureCache, FirstAccessMissesSecondHits) {
 }
 
 TEST(TextureCache, SameTileHitsAcrossTexels) {
-  TextureCache cache(small_config());
+  TextureCache cache(kSmallBytes);
   EXPECT_FALSE(cache.access(0, 0, 0));
   // All texels of the 4x4 tile share the line.
   for (int y = 0; y < 4; ++y) {
@@ -36,14 +33,14 @@ TEST(TextureCache, SameTileHitsAcrossTexels) {
 }
 
 TEST(TextureCache, DifferentTilesMiss) {
-  TextureCache cache(small_config());
+  TextureCache cache(kSmallBytes);
   EXPECT_FALSE(cache.access(0, 0, 0));
   EXPECT_FALSE(cache.access(0, 4, 0));  // next tile over
   EXPECT_FALSE(cache.access(0, 0, 4));
 }
 
 TEST(TextureCache, DifferentTexturesDoNotAlias) {
-  TextureCache cache(small_config());
+  TextureCache cache(kSmallBytes);
   EXPECT_FALSE(cache.access(1, 0, 0));
   EXPECT_FALSE(cache.access(2, 0, 0));
   EXPECT_TRUE(cache.access(1, 0, 0));
@@ -51,14 +48,14 @@ TEST(TextureCache, DifferentTexturesDoNotAlias) {
 }
 
 TEST(TextureCache, FlushInvalidatesEverything) {
-  TextureCache cache(small_config());
+  TextureCache cache(kSmallBytes);
   cache.access(0, 0, 0);
   cache.flush();
   EXPECT_FALSE(cache.access(0, 0, 0));
 }
 
 TEST(TextureCache, ResetStatsKeepsContents) {
-  TextureCache cache(small_config());
+  TextureCache cache(kSmallBytes);
   cache.access(0, 0, 0);
   cache.reset_stats();
   EXPECT_EQ(cache.stats().accesses, 0u);
@@ -66,36 +63,34 @@ TEST(TextureCache, ResetStatsKeepsContents) {
 }
 
 TEST(TextureCache, MissBytesCountTileTraffic) {
-  const TextureCacheConfig cfg = small_config();
-  TextureCache cache(cfg);
+  // A line is one 4x4 tile of RGBA32F texels.
+  EXPECT_EQ(TextureCache::kLineBytes, 4ull * 4 * 16);
+  TextureCache cache(kSmallBytes);
   cache.access(0, 0, 0);
   cache.access(0, 10, 10);
-  EXPECT_EQ(cache.stats().miss_bytes(cfg), 2ull * 4 * 4 * 16);
+  EXPECT_EQ(cache.stats().misses * TextureCache::kLineBytes, 2ull * 4 * 4 * 16);
 }
 
 TEST(TextureCache, LruEvictionWithinSet) {
-  // One set total: capacity = 2 lines exactly.
-  TextureCacheConfig cfg;
-  cfg.total_bytes = 2 * 4 * 4 * 16;
-  cfg.tile_size = 4;
-  cfg.associativity = 2;
-  cfg.bytes_per_texel = 16;
-  TextureCache cache(cfg);
+  // 1 KiB is one 4-way set: every tile maps to it.
+  TextureCache cache(1024);
   ASSERT_EQ(cache.num_sets(), 1);
 
   cache.access(0, 0, 0);   // A miss
   cache.access(0, 4, 0);   // B miss
+  cache.access(0, 8, 0);   // C miss
+  cache.access(0, 12, 0);  // D miss: the set is full
   EXPECT_TRUE(cache.access(0, 0, 0));   // A hit (B becomes LRU)
-  cache.access(0, 8, 0);   // C miss, evicts B
+  EXPECT_FALSE(cache.access(0, 16, 0));  // E miss, evicts B
   EXPECT_TRUE(cache.access(0, 0, 0));   // A still resident
+  EXPECT_TRUE(cache.access(0, 8, 0));   // C still resident
+  EXPECT_TRUE(cache.access(0, 12, 0));  // D still resident
   EXPECT_FALSE(cache.access(0, 4, 0));  // B was evicted
 }
 
 TEST(TextureCache, CapacitySweepNeverLosesAccessCount) {
   for (std::uint64_t kb : {1, 2, 8, 64}) {
-    TextureCacheConfig cfg;
-    cfg.total_bytes = kb * 1024;
-    TextureCache cache(cfg);
+    TextureCache cache(kb * 1024);
     for (int i = 0; i < 100; ++i) cache.access(0, i * 3, i * 7);
     EXPECT_EQ(cache.stats().accesses, 100u);
     EXPECT_EQ(cache.stats().hits + cache.stats().misses, 100u);
@@ -104,9 +99,7 @@ TEST(TextureCache, CapacitySweepNeverLosesAccessCount) {
 
 TEST(TextureCache, LargerCacheHitsAtLeastAsOften) {
   auto run = [](std::uint64_t bytes) {
-    TextureCacheConfig cfg;
-    cfg.total_bytes = bytes;
-    TextureCache cache(cfg);
+    TextureCache cache(bytes);
     // Two sweeps over a 32x32 region: the second sweep hits if resident.
     for (int pass = 0; pass < 2; ++pass) {
       for (int y = 0; y < 32; ++y) {
@@ -118,11 +111,73 @@ TEST(TextureCache, LargerCacheHitsAtLeastAsOften) {
   EXPECT_LE(run(1024), run(64 * 1024));
 }
 
-TEST(TextureCache, NonPowerOfTwoTileIsFatal) {
-  // Tags index tiles with a shift, so the tile edge must be a power of two.
-  TextureCacheConfig cfg = small_config();
-  cfg.tile_size = 3;
-  EXPECT_DEATH(TextureCache cache(cfg), "power of two");
+TEST(TextureCache, NonPowerOfTwoSetCountIsFatal) {
+  // The set index masks the tag hash, so the set count (capacity / 1 KiB)
+  // must be a power of two; below one set there is none.
+  EXPECT_DEATH(TextureCache cache(3 * 1024), "power of two");
+  EXPECT_DEATH(TextureCache cache(512), "power of two");
+}
+
+TEST(TextureCache, ReplayMatrixMatchesPerFetchAccess) {
+  // A ReplaySession probing lane-major tag matrices must leave the cache in
+  // the state per-fetch access() calls in the same order leave it in: same
+  // statistics, and the same hits on whatever comes next.
+  struct Texel {
+    std::uint32_t id;
+    int x;
+    int y;
+  };
+  for (std::uint64_t bytes : {1024ull, 8 * 1024ull}) {
+    SCOPED_TRACE(bytes);
+    std::mt19937 rng(1234);
+    std::uniform_int_distribution<int> coord(0, 47);
+    std::uniform_int_distribution<std::uint32_t> id(0, 3);
+    std::uniform_int_distribution<int> skip(0, 7);
+    auto texel = [&] { return Texel{id(rng), coord(rng), coord(rng)}; };
+
+    TextureCache batched(bytes);
+    TextureCache single(bytes);
+    constexpr int kRows = 5;
+    constexpr int kLanes = 37;
+    {
+      TextureCache::ReplaySession session(batched);
+      for (int matrix = 0; matrix < 6; ++matrix) {
+        std::array<std::vector<std::uint64_t>, kRows> tags;
+        std::array<std::vector<Texel>, kRows> texels;
+        std::array<const std::uint64_t*, kRows> rows{};
+        for (int a = 0; a < kRows; ++a) {
+          for (int l = 0; l < kLanes; ++l) {
+            const Texel t = texel();
+            texels[a].push_back(t);
+            tags[a].push_back(skip(rng) == 0 ? TextureCache::kNoTag
+                                             : TextureCache::tag(t.id, t.x, t.y));
+          }
+          rows[a] = tags[a].data();
+        }
+        session.replay_matrix(rows.data(), kRows, kLanes);
+        for (int l = 0; l < kLanes; ++l) {
+          for (int a = 0; a < kRows; ++a) {
+            if (tags[a][l] == TextureCache::kNoTag) continue;
+            const Texel& t = texels[a][l];
+            single.access(t.id, t.x, t.y);
+          }
+        }
+      }
+    }
+    EXPECT_GT(single.stats().hits, 0u);
+    EXPECT_GT(single.stats().misses, 0u);
+    EXPECT_EQ(batched.stats().accesses, single.stats().accesses);
+    EXPECT_EQ(batched.stats().hits, single.stats().hits);
+    EXPECT_EQ(batched.stats().misses, single.stats().misses);
+
+    // Same resident lines and recency order: a follow-up sequence hits and
+    // misses identically on both.
+    for (int i = 0; i < 400; ++i) {
+      const Texel t = texel();
+      EXPECT_EQ(batched.access(t.id, t.x, t.y), single.access(t.id, t.x, t.y))
+          << "probe " << i;
+    }
+  }
 }
 
 TEST(TextureCacheStats, Accumulate) {

@@ -18,7 +18,7 @@ run_config() {
   local dir="$1"
   shift
   cmake -B "$dir" -S . "$@"
-  cmake --build "$dir" -j
+  cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure -j "${CTEST_ARGS[@]}"
 }
 
@@ -231,7 +231,7 @@ echo "==> ThreadSanitizer (concurrency suite)"
 # battery (event loop vs serve worker hooks, concurrent socket clients).
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHS_SANITIZE=thread
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$(nproc)"
 ctest --test-dir build-tsan --output-on-failure \
   -R 'ParallelPipeline|ChunkScheduler|ProgramFuzz|Serve|Cache|ThreadPool|TaskGroup|StreamExecutor|Trace\.|Histogram|FlightRecorder|Timeline|Net' \
   -j "${CTEST_ARGS[@]}"
