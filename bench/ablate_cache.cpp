@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   // Spec pool: distinct functional identities differ by seed and kind.
   auto spec_for = [&](int unique_index) {
     serve::JobSpec spec;
-    spec.name = "u" + std::to_string(unique_index);
+    // append(), not "u" + to_string(): GCC 12 -Wrestrict misfires on that.
+    spec.name = std::string("u").append(std::to_string(unique_index));
     spec.kind = unique_index % 3 == 0
                     ? serve::JobKind::Morphology
                     : (unique_index % 3 == 1 ? serve::JobKind::Classify

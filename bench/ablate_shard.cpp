@@ -43,7 +43,8 @@ using namespace hs;
 
 serve::JobSpec spec_for(int unique_index, int size, int bands) {
   serve::JobSpec spec;
-  spec.name = "u" + std::to_string(unique_index);
+  // append(), not "u" + to_string(): GCC 12 -Wrestrict misfires on that.
+  spec.name = std::string("u").append(std::to_string(unique_index));
   spec.kind = unique_index % 3 == 0
                   ? serve::JobKind::Morphology
                   : (unique_index % 3 == 1 ? serve::JobKind::Classify

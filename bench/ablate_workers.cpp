@@ -4,11 +4,12 @@
 // (stream/scheduler.hpp) exploits that with one simulated device per
 // worker. This bench sweeps the worker count on a fixed many-chunk scene
 // and reports, per count: simulator wall-clock time (host parallelism --
-// meaningful only when the host has cores to spare; host_cpus is recorded
-// alongside), the modeled parallel schedule (wave-max compute plus the
-// serialized bus, the number a multi-device deployment of the paper's
-// pipeline would see), and a bit-identity check against the sequential
-// run, since speed is only interesting if the answer is unchanged.
+// meaningful only when the host has cores to spare; the JSON's host stamp
+// records the CPU count), the modeled parallel schedule (wave-max compute
+// plus the serialized bus, the number a multi-device deployment of the
+// paper's pipeline would see), and a bit-identity check against the
+// sequential run, since speed is only interesting if the answer is
+// unchanged.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -53,7 +54,6 @@ int main(int argc, char** argv) {
   const core::AmcGpuReport base = core::morphology_gpu(cube, se, options_for(1));
 
   bench::JsonReport json("parallel_chunks");
-  json.add("scene", "host_cpus", static_cast<double>(host_cpus));
   json.add("scene", "chunks", static_cast<double>(base.chunk_count));
   json.add("scene", "pixels", static_cast<double>(full));
   json.add("scene", "bands", static_cast<double>(bands));

@@ -4,11 +4,24 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace hs::bench {
+
+namespace {
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "GCC " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
+}  // namespace
 
 void JsonReport::add(const std::string& bench, const std::string& key,
                      double value) {
@@ -40,7 +53,9 @@ bool JsonReport::write(const std::string& path) const {
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return std::string(buf);
   };
-  os << "{\n  \"name\": \"" << name_ << "\",\n  \"results\": [\n";
+  os << "{\n  \"name\": \"" << name_ << "\",\n  \"host\": {\"cpus\": "
+     << std::thread::hardware_concurrency() << ", \"compiler\": \"" << kCompiler
+     << "\", \"build_type\": \"" << HS_BUILD_TYPE << "\"},\n  \"results\": [\n";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     os << "    {\"bench\": \"" << rows_[r].bench << "\"";
     for (const auto& [key, value] : rows_[r].values) {

@@ -108,7 +108,8 @@ std::vector<ModelRow> modeled_exec_rows(bool vectorized);
 /// Machine-readable benchmark results. Each named benchmark accumulates
 /// (key, value) pairs; write() serializes everything as
 /// `BENCH_<name>.json` so sweep scripts can diff runs without scraping
-/// table output.
+/// table output. Every file carries a top-level `host` stamp: CPU count,
+/// compiler and build type.
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}

@@ -18,7 +18,6 @@
 #include <iostream>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -402,7 +401,6 @@ void run_engine_comparison(const std::string& json_path) {
     };
     emit("device_pass_sid", t_sid);
     emit("device_pass_mei", t_mei);
-    report.add("host", "cpus", std::thread::hardware_concurrency());
     report.add("host", "reps", kReps);
     report.write(json_path);
   }

@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 
+#include "core/cost_model.hpp"
 #include "core/shaders.hpp"
 #include "gpusim/assembler.hpp"
 #include "stream/chunker.hpp"
@@ -84,18 +85,6 @@ struct TransferMark {
         download_s(device.totals().transfer.modeled_download_seconds) {}
 };
 
-std::uint64_t auto_texel_budget(const gpusim::Device& device, int groups,
-                                bool precompute_log) {
-  const std::uint64_t stacks = static_cast<std::uint64_t>(groups) *
-                               (precompute_log ? 3u : 2u);
-  // Bytes per padded texel: RGBA stacks + offsets texture + six R32F
-  // scalar textures (sum/DB/MEI ping-pongs).
-  const std::uint64_t per_texel = stacks * 16 + 16 + 6 * 4;
-  const std::uint64_t usable =
-      static_cast<std::uint64_t>(0.9 * static_cast<double>(device.video_memory_free()));
-  return std::max<std::uint64_t>(1024, usable / per_texel);
-}
-
 /// Everything one chunk contributes to the aggregate report. Captured
 /// per chunk (each chunk runs against zeroed device totals and a fresh
 /// executor) and reduced in chunk-index order afterwards, so the merged
@@ -125,14 +114,6 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
     pipeline_span.arg("bands", bands);
     pipeline_span.arg("se_size", nb);
   }
-
-  // The cumulative-distance shader is specialized per (dx, dy) constant
-  // pair under the SoA engine, so the device's program cache must
-  // hold the fixed programs plus one entry per SE neighbor or the
-  // per-chunk redraw loop would thrash it.
-  gpusim::SimConfig sim = options.sim;
-  sim.program_cache_capacity = std::max(
-      sim.program_cache_capacity, static_cast<std::size_t>(16 + nb));
 
   // ---- programs (assembled once; shared read-only by all workers) ----------
   const FragmentProgram prog_clear =
@@ -177,15 +158,13 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
   }
 
   // ---- chunk plan ----------------------------------------------------------
-  // The planning device never draws; it exists so the auto budget sees the
-  // profile's full video memory -- exactly what every (fresh) worker
-  // device will have.
-  gpusim::Device planner(options.profile, sim);
+  // Every worker device is fresh, so the auto budget sees the profile's
+  // full video memory.
   const int halo = 2 * se.radius;
   const std::uint64_t budget =
       options.chunk_texel_budget > 0
           ? options.chunk_texel_budget
-          : auto_texel_budget(planner, groups, options.precompute_log);
+          : amc_auto_texel_budget(options.profile, bands, options.precompute_log);
   const stream::ChunkPlan plan = stream::plan_chunks(w, h, halo, budget);
 
   AmcGpuReport report;
@@ -208,28 +187,10 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
       options.half_precision ? TextureFormat::R16F : TextureFormat::R32F;
 
   // ---- worker devices ------------------------------------------------------
-  const std::size_t workers = std::min<std::size_t>(
-      std::max<std::size_t>(1, plan.chunks.size()),
-      stream::resolve_workers(options.workers));
-  gpusim::SimConfig worker_sim = sim;
-  if (workers > 1 && sim.worker_threads == 0) {
-    // Concurrent devices share the host: split the threads one sequential
-    // device would auto-size across the workers instead of nesting full
-    // pools. Functional results are independent of worker_threads.
-    worker_sim.worker_threads = stream::per_worker_device_threads(
-        util::ThreadPool::clamp_to_hardware(
-            static_cast<std::size_t>(options.profile.fragment_pipes)),
-        workers);
-  }
-  if (workers > 1 && !worker_sim.shared_programs) {
-    // Worker clones re-draw the same few programs; share one lowering.
-    worker_sim.shared_programs = std::make_shared<gpusim::SharedProgramStore>();
-  }
-  std::vector<std::unique_ptr<gpusim::Device>> devices;
-  devices.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    devices.push_back(planner.clone_blank(worker_sim));
-  }
+  const gpusim::Device planner(options.profile, options.sim);
+  const std::vector<std::unique_ptr<gpusim::Device>> devices =
+      stream::worker_devices(planner, options.workers, plan.chunks.size());
+  const std::size_t workers = devices.size();
   report.workers_used = workers;
   if (pipeline_span.active()) {
     pipeline_span.arg("workers", static_cast<double>(workers));

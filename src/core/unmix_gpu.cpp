@@ -139,7 +139,7 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
       gpusim::assemble_or_die("argmax", argmax_source(c));
 
   // ---- device & chunking (no halo: per-pixel work) --------------------------
-  // The planning device never draws; worker devices are blank clones with
+  // The planning device never draws; worker devices are fresh ones with
   // the same free video memory, so the auto budget holds for all of them.
   gpusim::Device planner(options.profile, options.sim);
   const std::uint64_t per_texel = static_cast<std::uint64_t>(groups) * 16 +
@@ -171,25 +171,9 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
   }
 
   // ---- worker devices ------------------------------------------------------
-  const std::size_t workers = std::min<std::size_t>(
-      std::max<std::size_t>(1, plan.chunks.size()),
-      stream::resolve_workers(options.workers));
-  gpusim::SimConfig worker_sim = options.sim;
-  if (workers > 1 && options.sim.worker_threads == 0) {
-    worker_sim.worker_threads = stream::per_worker_device_threads(
-        util::ThreadPool::clamp_to_hardware(
-            static_cast<std::size_t>(options.profile.fragment_pipes)),
-        workers);
-  }
-  if (workers > 1 && !worker_sim.shared_programs) {
-    // Worker clones re-draw the same few programs; share one lowering.
-    worker_sim.shared_programs = std::make_shared<gpusim::SharedProgramStore>();
-  }
-  std::vector<std::unique_ptr<gpusim::Device>> devices;
-  devices.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    devices.push_back(planner.clone_blank(worker_sim));
-  }
+  const std::vector<std::unique_ptr<gpusim::Device>> devices =
+      stream::worker_devices(planner, options.workers, plan.chunks.size());
+  const std::size_t workers = devices.size();
   report.workers_used = workers;
   if (pipeline_span.active()) {
     pipeline_span.arg("workers", static_cast<double>(workers));

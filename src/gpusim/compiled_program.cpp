@@ -364,47 +364,4 @@ SharedProgramStore::Stats SharedProgramStore::stats() const {
   return s;
 }
 
-// ---- program cache ---------------------------------------------------------
-
-ProgramCache::ProgramCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)),
-      trace_hits_(&trace::counter("gpusim.program_cache.hit")),
-      trace_misses_(&trace::counter("gpusim.program_cache.miss")),
-      trace_evictions_(&trace::counter("gpusim.program_cache.evict")) {}
-
-std::shared_ptr<const SoaProgram> ProgramCache::get(
-    const FragmentProgram& program, std::span<const float4> constants,
-    std::span<const Texture2D* const> textures) {
-  std::vector<std::uint8_t> key = make_key(program, constants, textures);
-  const std::uint64_t hash = fnv1a(key);
-  for (Entry& e : entries_) {
-    if (e.hash == hash && e.key == key) {
-      ++hits_;
-      trace_hits_->increment();
-      e.stamp = ++stamp_;
-      return e.program;
-    }
-  }
-  ++misses_;
-  trace_misses_->increment();
-  if (entries_.size() >= capacity_) {
-    const auto lru = std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
-    entries_.erase(lru);
-    ++evictions_;
-    trace_evictions_->increment();
-  }
-  Entry e;
-  e.hash = hash;
-  e.key = std::move(key);
-  e.stamp = ++stamp_;
-  e.program = shared_store_
-                  ? shared_store_->get_or_compile(program, constants, textures)
-                  : std::make_shared<const SoaProgram>(lower_soa(
-                        compile_program(program, constants, textures)));
-  entries_.push_back(std::move(e));
-  return entries_.back().program;
-}
-
 }  // namespace hs::gpusim

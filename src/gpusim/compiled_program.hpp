@@ -23,8 +23,8 @@
 // would have charged), and TEX instructions are never dropped or
 // reordered (they drive the cache model).
 //
-// ProgramCache / SharedProgramStore memoize the finished, executable
-// SoaProgram (front end + second stage) per binding.
+// SharedProgramStore memoizes the finished, executable SoaProgram (front
+// end + second stage) per binding, across every device that shares it.
 #pragma once
 
 #include <array>
@@ -108,21 +108,22 @@ CompiledProgram compile_program(const FragmentProgram& program,
                                 std::span<const float4> constants,
                                 std::span<const Texture2D* const> textures);
 
-/// Thread-safe cross-device store of lowered programs, keyed by the same
-/// exact specialization bytes as ProgramCache. Chunk-parallel pipelines
-/// clone one blank Device per worker, and a server builds fresh devices
-/// for every job; without sharing, each of them re-lowers the identical
-/// (program, constants, texture-shape) bindings.
-/// Hang one store off SimConfig::shared_programs (clone_blank copies the
-/// config, so all worker clones share it automatically) and each distinct
-/// binding is lowered exactly once per store instead of once per device.
+/// The one cache of lowered programs: thread-safe, LRU, keyed by the exact
+/// specialization inputs -- the instruction stream, the values of every
+/// referenced constant, and the shape/format/addressing of every sampled
+/// texture unit. The ping-pong loops of the AMC pipeline re-draw a handful
+/// of programs hundreds of times, chunk-parallel pipelines build one
+/// Device per worker, and a server builds fresh devices for every job; all
+/// of them fetch from the store on SimConfig::shared_programs, so each
+/// distinct binding is lowered exactly once per store. A Device given no
+/// store makes its own.
 ///
 /// Lowering is deterministic, programs are immutable once lowered, and
 /// every access runs under one mutex (lowering included, so concurrent
 /// misses on one key never duplicate work) -- bit-identity and TSan
-/// cleanliness are preserved by construction. Per-device ProgramCache
-/// hit/miss statistics are unaffected: a local miss still counts as a
-/// miss even when the store already holds the program.
+/// cleanliness are preserved by construction. The returned owning pointer
+/// keeps a program alive for a whole pass even if a later lookup evicts
+/// its entry.
 class SharedProgramStore {
  public:
   struct Stats {
@@ -153,60 +154,6 @@ class SharedProgramStore {
   std::uint64_t stamp_ = 0;
   Stats stats_;
   std::vector<Entry> entries_;
-  trace::Counter* trace_hits_;
-  trace::Counter* trace_misses_;
-  trace::Counter* trace_evictions_;
-};
-
-/// LRU cache of lowered programs, keyed by the exact specialization
-/// inputs: the instruction stream, the values of every referenced
-/// constant, and the shape/format/addressing of every sampled texture
-/// unit. The ping-pong loops of the AMC pipeline re-draw a handful of
-/// programs hundreds of times; each is lowered once per device -- or once
-/// per *store* when a SharedProgramStore backs the cache (local misses
-/// then fetch the shared lowering instead of re-lowering).
-class ProgramCache {
- public:
-  explicit ProgramCache(std::size_t capacity);
-
-  /// Backs local misses with a cross-device store (may be null). Local
-  /// hit/miss/eviction accounting is independent of the store.
-  void set_shared_store(std::shared_ptr<SharedProgramStore> store) {
-    shared_store_ = std::move(store);
-  }
-
-  /// The lowered program for this binding, lowering on a miss. The owning
-  /// pointer keeps it alive for a whole pass even if a later lookup
-  /// evicts the entry.
-  std::shared_ptr<const SoaProgram> get(
-      const FragmentProgram& program, std::span<const float4> constants,
-      std::span<const Texture2D* const> textures);
-
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t evictions() const { return evictions_; }
-
- private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::vector<std::uint8_t> key;
-    std::uint64_t stamp = 0;
-    /// Stable across eviction; shared with (and possibly owned by) the
-    /// cross-device store.
-    std::shared_ptr<const SoaProgram> program;
-  };
-
-  std::size_t capacity_;
-  std::uint64_t stamp_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::vector<Entry> entries_;
-  std::shared_ptr<SharedProgramStore> shared_store_;
-  // Process-global trace counters (all devices' caches aggregate); the
-  // per-cache totals above stay exact per instance.
   trace::Counter* trace_hits_;
   trace::Counter* trace_misses_;
   trace::Counter* trace_evictions_;

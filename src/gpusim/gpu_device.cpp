@@ -56,10 +56,11 @@ const char* exec_engine_name(ExecEngine engine) {
 Device::Device(DeviceProfile profile, SimConfig config)
     : profile_(std::move(profile)),
       config_(config),
-      program_cache_(config.program_cache_capacity),
       pool_(resolve_threads(config, profile_.fragment_pipes)) {
   HS_ASSERT(profile_.fragment_pipes > 0);
-  program_cache_.set_shared_store(config_.shared_programs);
+  if (!config_.shared_programs) {
+    config_.shared_programs = std::make_shared<SharedProgramStore>();
+  }
   pipe_caches_.reserve(static_cast<std::size_t>(profile_.fragment_pipes));
   for (int p = 0; p < profile_.fragment_pipes; ++p) {
     pipe_caches_.emplace_back(profile_.tex_cache_bytes_per_pipe);
@@ -358,10 +359,11 @@ PassStats Device::draw(const FragmentProgram& program,
   std::vector<TileTouchTracker> pipe_tiles = make_tile_trackers(bound);
   for (auto& cache : pipe_caches_) cache.flush();
 
-  // Lower (or fetch from the cache) once per pass, outside the pipe loop.
+  // Lower (or fetch from the store) once per pass, outside the pipe loop.
   std::shared_ptr<const SoaProgram> soa;
   if (config_.exec_engine == ExecEngine::Soa) {
-    soa = program_cache_.get(program, constants, bound.inputs);
+    soa = config_.shared_programs->get_or_compile(program, constants,
+                                                  bound.inputs);
   }
 
   // Contiguous row blocks per logical pipe: deterministic partitioning that
@@ -426,7 +428,8 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
 
   std::shared_ptr<const SoaProgram> soa;
   if (config_.exec_engine == ExecEngine::Soa) {
-    soa = program_cache_.get(program, constants, bound.inputs);
+    soa = config_.shared_programs->get_or_compile(program, constants,
+                                                  bound.inputs);
   }
 
   // Contiguous fragment ranges per logical pipe: raster order preserves

@@ -72,14 +72,9 @@ struct SimConfig {
   bool enforce_memory_limit = true;
   /// Engine used by draw()/draw_fragments().
   ExecEngine exec_engine = ExecEngine::Soa;
-  /// Entries in the device's lowered-program LRU cache (clamped to >= 1).
-  /// Size it to the working set of distinct (program, constants,
-  /// texture-shape) combinations the workload re-draws.
-  std::size_t program_cache_capacity = 32;
-  /// Optional cross-device lowered-program store backing local cache
-  /// misses (null = each device lowers its own programs). clone_blank
-  /// copies the config, so chunk-parallel worker clones share the store
-  /// automatically; results stay bit-identical (see SharedProgramStore).
+  /// Store of lowered programs the SoA engine fetches from once per pass.
+  /// Devices built from one config share it (results stay bit-identical,
+  /// see SharedProgramStore); a device given none installs a fresh one.
   std::shared_ptr<SharedProgramStore> shared_programs;
 };
 
@@ -154,19 +149,6 @@ class Device {
   const DeviceProfile& profile() const { return profile_; }
   const SimConfig& config() const { return config_; }
 
-  /// A fresh device with the same profile and simulation config but no
-  /// textures, empty caches, and zeroed totals — what a chunk-parallel
-  /// worker needs: the hardware model is shared (profiles are value
-  /// types), the mutable state is private. `config` overrides, when
-  /// given, replace this device's SimConfig (e.g. fewer host threads per
-  /// worker so concurrent devices do not oversubscribe the machine).
-  std::unique_ptr<Device> clone_blank() const {
-    return std::make_unique<Device>(profile_, config_);
-  }
-  std::unique_ptr<Device> clone_blank(const SimConfig& config) const {
-    return std::make_unique<Device>(profile_, config);
-  }
-
   // -- video memory ---------------------------------------------------------
 
   /// Allocates a texture; throws GpuOutOfMemory when the profile's video
@@ -215,9 +197,6 @@ class Device {
   const DeviceTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = {}; }
 
-  /// The lowered-program cache (hit/miss statistics for tests and tools).
-  const ProgramCache& program_cache() const { return program_cache_; }
-
  private:
   struct Slot {
     std::unique_ptr<Texture2D> texture;
@@ -252,7 +231,6 @@ class Device {
   std::vector<Slot> slots_;  // index = handle - 1
   std::uint64_t memory_used_ = 0;
   std::vector<TextureCache> pipe_caches_;  // one per logical pipe
-  ProgramCache program_cache_;
   util::ThreadPool pool_;
   DeviceTotals totals_;
 };

@@ -51,6 +51,10 @@
 // are the cache's tiles (TextureCache::kTileShift), and the one
 // data-dependent limit, the float-exactness bound, selects generic
 // mode within this engine.
+//
+// A lowered SoaProgram is immutable, so one instance serves every pipe
+// thread and every device at once: Device::draw() fetches it from the
+// SharedProgramStore on its SimConfig once per pass.
 #pragma once
 
 #include <cstdint>
@@ -129,7 +133,7 @@ struct SoaProgram {
 
 /// Second-stage lowering. A pure function of the compiled program (texture
 /// shapes and address modes are already part of its specialization key),
-/// cached per binding by ProgramCache / SharedProgramStore.
+/// cached per binding by SharedProgramStore.
 SoaProgram lower_soa(CompiledProgram compiled);
 
 /// Executes rows [y_begin, y_end) of a full-viewport pass (texcoord[0] =

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -104,17 +105,15 @@ void Router::start() {
   }
   thread_ = std::thread([this] { loop(); });
 
-  // Block until one shard serves or none can: the loop flips Starting
-  // shards to Up (port file + connect) or Dead (exit/timeout, after any
-  // crash-restart budget).
+  // Block until every shard has settled: the loop flips Starting shards
+  // to Up (port file + connect) or Dead (exit/timeout, after any
+  // crash-restart budget). Returning on the first Up shard would let the
+  // first jobs hash onto shards that are still starting and park there.
   std::unique_lock<std::mutex> lk(mu_);
   start_cv_.wait(lk, [&] {
-    bool any_up = false, any_pending = false;
-    for (const Shard& sh : shards_) {
-      any_up |= sh.state == ShardState::Up;
-      any_pending |= sh.state == ShardState::Starting;
-    }
-    return any_up || !any_pending;
+    return std::none_of(shards_.begin(), shards_.end(), [](const Shard& sh) {
+      return sh.state == ShardState::Starting;
+    });
   });
   for (const Shard& sh : shards_) {
     if (sh.state == ShardState::Up) return;

@@ -141,9 +141,10 @@ class Router : public serve::JobBackend {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Spawns the shards and starts the event loop; returns once at least
-  /// one shard is serving. Throws std::runtime_error when none comes up
-  /// within the spawn timeout (worker logs stay in state_dir).
+  /// Spawns the shards and starts the event loop; returns once no shard
+  /// is still starting (each is serving or dead) and at least one serves.
+  /// Throws std::runtime_error when none comes up within the spawn
+  /// timeout (worker logs stay in state_dir).
   void start();
 
   // serve::JobBackend -- the front-door contract (backend.hpp).

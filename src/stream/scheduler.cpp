@@ -33,6 +33,28 @@ std::size_t per_worker_device_threads(std::size_t sequential_threads,
   return std::max<std::size_t>(1, sequential_threads / std::max<std::size_t>(1, workers));
 }
 
+std::vector<std::unique_ptr<gpusim::Device>> worker_devices(
+    const gpusim::Device& planner, std::size_t requested, std::size_t chunks) {
+  const std::size_t workers = std::min<std::size_t>(
+      std::max<std::size_t>(1, chunks), resolve_workers(requested));
+  gpusim::SimConfig config = planner.config();
+  if (workers > 1 && config.worker_threads == 0) {
+    // Concurrent devices share the host: split the threads one sequential
+    // device would auto-size across the workers instead of nesting full
+    // pools. Functional results are independent of worker_threads.
+    config.worker_threads = per_worker_device_threads(
+        util::ThreadPool::clamp_to_hardware(
+            static_cast<std::size_t>(planner.profile().fragment_pipes)),
+        workers);
+  }
+  std::vector<std::unique_ptr<gpusim::Device>> devices;
+  devices.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    devices.push_back(std::make_unique<gpusim::Device>(planner.profile(), config));
+  }
+  return devices;
+}
+
 ChunkScheduler::ChunkScheduler(std::size_t workers)
     : workers_(std::max<std::size_t>(1, workers)),
       pool_(workers_ > 1 ? workers_ : 0) {}

@@ -17,7 +17,10 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <vector>
 
+#include "gpusim/gpu_device.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hs::stream {
@@ -31,6 +34,14 @@ std::size_t resolve_workers(std::size_t requested);
 /// run does not oversubscribe the machine with nested pools.
 std::size_t per_worker_device_threads(std::size_t sequential_threads,
                                       std::size_t workers);
+
+/// One blank device per chunk-parallel worker: resolve_workers(requested)
+/// clamped to [1, chunks] of them, each with the planner's profile and
+/// SimConfig -- so all of them fetch lowered programs from the planner's
+/// store. An auto host-thread count (worker_threads == 0) is split across
+/// the workers with per_worker_device_threads().
+std::vector<std::unique_ptr<gpusim::Device>> worker_devices(
+    const gpusim::Device& planner, std::size_t requested, std::size_t chunks);
 
 class ChunkScheduler {
  public:

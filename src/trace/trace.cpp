@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <tuple>
 
 #include "trace/flight_recorder.hpp"
 #include "trace/histogram.hpp"
@@ -313,16 +314,51 @@ namespace {
 struct SpanAggregate {
   std::uint64_t count = 0;
   std::int64_t total_ns = 0;
+  std::int64_t self_ns = 0;  ///< total minus the direct children's time
   std::int64_t max_ns = 0;
 };
 
+/// Each event's self time: its duration minus its direct children's, the
+/// children being the same thread's spans one level deeper that begin
+/// while it is open (TraceEvent::depth is recorded at begin time).
+std::vector<std::int64_t> self_times(const std::vector<TraceEvent>& events) {
+  std::vector<std::int64_t> self(events.size());
+  std::vector<std::size_t> order(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    self[i] = events[i].dur_ns;
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const TraceEvent& x = events[a];
+    const TraceEvent& y = events[b];
+    return std::tie(x.tid, x.start_ns, x.depth) <
+           std::tie(y.tid, y.start_ns, y.depth);
+  });
+  std::vector<std::size_t> open;  // enclosing spans of the current thread
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const TraceEvent& ev = events[order[k]];
+    if (k > 0 && events[order[k - 1]].tid != ev.tid) open.clear();
+    while (!open.empty() && events[open.back()].depth >= ev.depth) {
+      open.pop_back();
+    }
+    if (!open.empty() && events[open.back()].depth == ev.depth - 1) {
+      self[open.back()] -= ev.dur_ns;
+    }
+    open.push_back(order[k]);
+  }
+  return self;
+}
+
 std::vector<std::pair<std::string, SpanAggregate>> aggregate_spans(
     const std::vector<TraceEvent>& events) {
+  const std::vector<std::int64_t> self = self_times(events);
   std::map<std::string, SpanAggregate> by_name;
-  for (const TraceEvent& ev : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
     SpanAggregate& agg = by_name[ev.cat + ":" + ev.name];
     agg.count += 1;
     agg.total_ns += ev.dur_ns;
+    agg.self_ns += self[i];
     agg.max_ns = std::max(agg.max_ns, ev.dur_ns);
   }
   std::vector<std::pair<std::string, SpanAggregate>> out(by_name.begin(),
@@ -375,22 +411,27 @@ bool write_metrics_json_file(const std::string& path, std::string_view name) {
 
 void print_summary(std::ostream& os) {
   const auto aggregates = aggregate_spans(snapshot());
-  double total_ns = 0;
+  // Share is of self time, so nested rows do not count their children
+  // twice and the column sums to 100 %.
+  double self_sum_ns = 0;
   for (const auto& [name, agg] : aggregates) {
-    // Only top-level-ish categories would double count; share is computed
-    // against the sum of *this* table's rows, which is what readers compare.
-    total_ns += static_cast<double>(agg.total_ns);
+    self_sum_ns += static_cast<double>(agg.self_ns);
   }
-  util::Table table({"Span (cat:name)", "Count", "Total", "Mean", "Max", "Share"});
+  util::Table table(
+      {"Span (cat:name)", "Count", "Total", "Self", "Mean", "Max", "Share"});
   for (const auto& [name, agg] : aggregates) {
     const double t = static_cast<double>(agg.total_ns);
+    const double self = static_cast<double>(agg.self_ns);
     table.add_row(
         {name, std::to_string(agg.count), util::format_duration(t / 1e9),
+         util::format_duration(self / 1e9),
          util::format_duration(t / 1e9 /
                                static_cast<double>(std::max<std::uint64_t>(
                                    1, agg.count))),
          util::format_duration(static_cast<double>(agg.max_ns) / 1e9),
-         util::Table::num(total_ns > 0 ? 100.0 * t / total_ns : 0.0, 1) + "%"});
+         util::Table::num(self_sum_ns > 0 ? 100.0 * self / self_sum_ns : 0.0,
+                          1) +
+             "%"});
   }
   table.print(os, "Trace summary (wall time per span kind)");
 

@@ -162,7 +162,9 @@ bool write_chrome_trace_file(const std::string& path);
 void write_metrics_json(std::ostream& os, std::string_view name);
 bool write_metrics_json_file(const std::string& path, std::string_view name);
 
-/// Per-span-name aggregate table plus the counter registry, via util::Table.
+/// Per-span-name aggregate table (total, self = total minus direct
+/// children, share of all self time) plus the counter registry, via
+/// util::Table.
 void print_summary(std::ostream& os);
 
 #else  // HS_TRACE_ENABLED == 0: every entry point is an empty inline stub.

@@ -439,8 +439,8 @@ TEST(CacheProgramStore, ConcurrentLookupsShareOneCompilation) {
 }
 
 TEST(CacheProgramStore, SharedStoreKeepsDeviceResultsBitIdentical) {
-  // Two blank devices, one with a shared store and one without, must
-  // produce identical pass results and counters for the same draw.
+  // Two blank devices, one given an explicit store and one that installs
+  // its own, must produce identical pass results for the same draw.
   const auto run = [](std::shared_ptr<gpusim::SharedProgramStore> store) {
     gpusim::SimConfig config;
     config.worker_threads = 1;

@@ -1,5 +1,5 @@
 // Unit tests for the SoA engine's front end (compiled_program.hpp):
-// constant folding, dead-write elimination, the program cache's keying
+// constant folding, dead-write elimination, the program store's keying
 // and LRU policy, and bit-identity of the SoA engine against the
 // interpreter on hand-built corner-case programs.
 #include <gtest/gtest.h>
@@ -180,21 +180,21 @@ TEST(CompiledProgram, TexWithDeadResultIsKept) {
   EXPECT_EQ(cp.tex_bytes_per_fragment, 16u);
 }
 
-// ---- program cache ---------------------------------------------------------
+// ---- program store ---------------------------------------------------------
 
 TEST(ProgramCacheTest, RecompilesOnlyOnChangedSpecialization) {
-  ProgramCache cache(4);
+  SharedProgramStore store(4);
   const FragmentProgram p = make_program({
       ins1(Opcode::MOV, RegFile::Output, 0, 0xF, const_src(0)),
   });
   const float4 c1[1] = {{1, 2, 3, 4}};
   const float4 c2[1] = {{5, 6, 7, 8}};
 
-  const auto first = cache.get(p, c1, {});
-  EXPECT_EQ(cache.misses(), 1u);
-  const auto again = cache.get(p, c1, {});
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  const auto first = store.get_or_compile(p, c1, {});
+  EXPECT_EQ(store.stats().misses, 1u);
+  const auto again = store.get_or_compile(p, c1, {});
+  EXPECT_EQ(store.stats().hits, 1u);
+  EXPECT_EQ(store.stats().entries, 1u);
   EXPECT_EQ(first.get(), again.get()) << "a hit returns the cached lowering";
   // The entry is the executable plan: front end plus second stage.
   ASSERT_EQ(first->compiled.code.size(), 1u);
@@ -202,14 +202,14 @@ TEST(ProgramCacheTest, RecompilesOnlyOnChangedSpecialization) {
   EXPECT_EQ(first->live_fullscreen.size(), 1u);
 
   // Same instructions, different constant *values*: a new specialization.
-  const auto other = cache.get(p, c2, {});
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
+  const auto other = store.get_or_compile(p, c2, {});
+  EXPECT_EQ(store.stats().misses, 2u);
+  EXPECT_EQ(store.stats().entries, 2u);
   EXPECT_EQ(other->compiled.code[0].src[0].imm, float4(5.f, 6.f, 7.f, 8.f));
 }
 
 TEST(ProgramCacheTest, TextureShapeIsPartOfTheKey) {
-  ProgramCache cache(4);
+  SharedProgramStore store(4);
   Texture2D small(4, 4, TextureFormat::RGBA32F);
   Texture2D large(8, 8, TextureFormat::RGBA32F);
   const FragmentProgram p = make_program({
@@ -218,19 +218,19 @@ TEST(ProgramCacheTest, TextureShapeIsPartOfTheKey) {
   });
   const Texture2D* bind_small[1] = {&small};
   const Texture2D* bind_large[1] = {&large};
-  const auto s = cache.get(p, {}, bind_small);
-  const auto l = cache.get(p, {}, bind_large);
-  EXPECT_EQ(cache.misses(), 2u);
+  const auto s = store.get_or_compile(p, {}, bind_small);
+  const auto l = store.get_or_compile(p, {}, bind_large);
+  EXPECT_EQ(store.stats().misses, 2u);
   EXPECT_NE(s.get(), l.get());
   // texcoord0 sampled directly: a static fetch plan in either shape.
   ASSERT_EQ(s->fetch.size(), 1u);
   EXPECT_EQ(s->fetch[0].mode, SoaFetchPlan::Mode::Static);
-  (void)cache.get(p, {}, bind_small);
-  EXPECT_EQ(cache.hits(), 1u);
+  (void)store.get_or_compile(p, {}, bind_small);
+  EXPECT_EQ(store.stats().hits, 1u);
 }
 
 TEST(ProgramCacheTest, EvictsLeastRecentlyUsed) {
-  ProgramCache cache(2);
+  SharedProgramStore store(2);
   const float4 c[1] = {{0, 0, 0, 0}};
   auto program_with_value = [](float v) {
     return make_program({
@@ -241,18 +241,18 @@ TEST(ProgramCacheTest, EvictsLeastRecentlyUsed) {
   const FragmentProgram b = program_with_value(2.f);
   const FragmentProgram d = program_with_value(3.f);
 
-  (void)cache.get(a, c, {});
-  const auto held = cache.get(b, c, {});
-  (void)cache.get(a, c, {});  // refresh a; b becomes LRU
-  (void)cache.get(d, c, {});  // evicts b
-  EXPECT_EQ(cache.size(), 2u);
+  (void)store.get_or_compile(a, c, {});
+  const auto held = store.get_or_compile(b, c, {});
+  (void)store.get_or_compile(a, c, {});  // refresh a; b becomes LRU
+  (void)store.get_or_compile(d, c, {});  // evicts b
+  EXPECT_EQ(store.stats().entries, 2u);
   // An evicted plan stays valid for whoever still holds it (a pass in
   // flight keeps its shared_ptr for the whole draw).
   EXPECT_EQ(held->compiled.code[0].src[0].imm, float4(2.f));
-  (void)cache.get(a, c, {});
-  EXPECT_EQ(cache.hits(), 2u);  // the refresh above plus this get
-  (void)cache.get(b, c, {});    // must recompile
-  EXPECT_EQ(cache.misses(), 4u);
+  (void)store.get_or_compile(a, c, {});
+  EXPECT_EQ(store.stats().hits, 2u);  // the refresh above plus this get
+  (void)store.get_or_compile(b, c, {});  // must recompile
+  EXPECT_EQ(store.stats().misses, 4u);
 }
 
 // ---- SoA-vs-interpreter corner cases ---------------------------------------

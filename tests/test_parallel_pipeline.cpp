@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -368,6 +369,39 @@ TEST(ParallelPipeline, WorkersClampAndAutoResolve) {
   EXPECT_EQ(stream::per_worker_device_threads(8, 4), 2u);
   EXPECT_EQ(stream::per_worker_device_threads(2, 8), 1u);
   EXPECT_EQ(stream::per_worker_device_threads(0, 0), 1u);
+}
+
+TEST(ParallelPipeline, WorkerDevicesShareThePlannersStore) {
+  gpusim::DeviceProfile profile = gpusim::geforce_7800_gtx();
+  profile.fragment_pipes = 4;
+  const gpusim::Device planner(profile);
+  ASSERT_NE(planner.config().shared_programs, nullptr);
+  const auto devices = stream::worker_devices(planner, 4, 3);
+  ASSERT_EQ(devices.size(), 3u) << "clamped to the chunk count";
+  for (const auto& device : devices) {
+    EXPECT_EQ(device->config().shared_programs, planner.config().shared_programs);
+    EXPECT_EQ(device->config().worker_threads,
+              stream::per_worker_device_threads(
+                  util::ThreadPool::clamp_to_hardware(4), 3));
+  }
+  EXPECT_EQ(stream::worker_devices(planner, 4, 0).size(), 1u);
+
+  // Each distinct binding is lowered once per store, however many worker
+  // devices draw it.
+  const auto cube = random_cube(24, 18, 8, 23);
+  const StructuringElement se = StructuringElement::square(1);
+  std::uint64_t misses[2] = {};
+  const std::size_t worker_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    AmcGpuOptions opt = chunked_options(worker_counts[i]);
+    opt.sim.shared_programs = std::make_shared<gpusim::SharedProgramStore>();
+    const AmcGpuReport report = morphology_gpu(cube, se, opt);
+    ASSERT_GT(report.chunk_count, 4u);
+    EXPECT_EQ(report.workers_used, worker_counts[i]);
+    misses[i] = opt.sim.shared_programs->stats().misses;
+  }
+  EXPECT_GT(misses[0], 0u);
+  EXPECT_EQ(misses[1], misses[0]);
 }
 
 // ---- scheduler unit behavior ----------------------------------------------

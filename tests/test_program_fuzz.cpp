@@ -311,7 +311,7 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
         random_program(rng, 20, 2, /*partial_masks=*/true);
     const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
                                  {-1, 0, 1, 2}, {4, 3, 2, 1}};
-    for (int repeat = 0; repeat < 2; ++repeat) {  // second draw hits the cache
+    for (int repeat = 0; repeat < 2; ++repeat) {  // second draw hits the store
       PassStats stats[2];
       for (int d = 0; d < 2; ++d) {
         const TextureHandle ins[2] = {in_a[d], in_b[d]};
@@ -321,7 +321,7 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
       expect_identical_stats(stats[0], stats[1]);
       expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
     }
-    EXPECT_GE(pair.soa.program_cache().hits(), 1u);
+    EXPECT_GE(pair.soa.config().shared_programs->stats().hits, 1u);
   }
 }
 

@@ -752,8 +752,9 @@ TEST(ServeServer, ConcurrentSubmittersAndWorkersStayConsistent) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
+        // append(), not "c" + to_string(): GCC 12 -Wrestrict misfires on that.
         JobSpec spec = small_spec(
-            JobKind::Morphology, "c" + std::to_string(c),
+            JobKind::Morphology, std::string("c").append(std::to_string(c)),
             static_cast<Priority>((c + i) % 3));
         spec.scene.width = 10;
         spec.scene.height = 10;

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <clocale>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "trace/histogram.hpp"
 #include "trace/json_check.hpp"
@@ -411,6 +415,98 @@ TEST(Trace, SummaryTablePrints) {
   const std::string text = os.str();
   EXPECT_NE(text.find("stage_a"), std::string::npos);
   EXPECT_NE(text.find("s.count"), std::string::npos);
+}
+
+/// print_summary's span table as cells keyed by "cat:name".
+std::map<std::string, std::vector<std::string>> summary_rows(
+    const std::string& text) {
+  std::map<std::string, std::vector<std::string>> rows;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> cells;
+    std::istringstream cols(line);
+    std::string cell;
+    while (std::getline(cols, cell, '|')) {
+      const auto b = cell.find_first_not_of(' ');
+      const auto e = cell.find_last_not_of(' ');
+      if (b != std::string::npos) cells.push_back(cell.substr(b, e - b + 1));
+    }
+    if (!cells.empty() && cells[0].rfind("test:", 0) == 0) {
+      rows[cells[0]] = cells;
+    }
+  }
+  return rows;
+}
+
+/// Seconds from util::format_duration's "<value> <unit>".
+double parse_seconds(const std::string& cell) {
+  std::istringstream is(cell);
+  double v = 0;
+  std::string unit;
+  is >> v >> unit;
+  if (unit == "ns") return v * 1e-9;
+  if (unit == "us") return v * 1e-6;
+  if (unit == "ms") return v * 1e-3;
+  return v;
+}
+
+TEST(Trace, SummarySharesAreSelfTime) {
+  reset();
+  set_enabled(true);
+  const auto busy = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  };
+  {
+    Span outer("outer", "test");
+    busy();
+    {
+      Span child("child", "test");
+      busy();
+      Span leaf("leaf", "test");
+      busy();
+    }
+    // Another thread's span is not a child, even while `outer` is open.
+    std::thread([&] {
+      Span other("other", "test");
+      busy();
+    }).join();
+    Span child("child", "test");
+    busy();
+  }
+  set_enabled(false);
+
+  std::ostringstream os;
+  print_summary(os);
+  const auto rows = summary_rows(os.str());
+  ASSERT_EQ(rows.size(), 4u) << os.str();
+  // Columns: name, count, total, self, mean, max, share.
+  for (const auto& [name, cells] : rows) ASSERT_EQ(cells.size(), 7u) << name;
+  EXPECT_EQ(rows.at("test:child")[1], "2");
+  // Spans without children on their own thread: self == total.
+  EXPECT_EQ(rows.at("test:leaf")[3], rows.at("test:leaf")[2]);
+  EXPECT_EQ(rows.at("test:other")[3], rows.at("test:other")[2]);
+  EXPECT_LT(parse_seconds(rows.at("test:outer")[3]),
+            parse_seconds(rows.at("test:outer")[2]));
+
+  // Self times partition the top-level spans, and the shares are of self
+  // time, so they sum to 100 %.
+  double self_sum = 0;
+  double share_sum = 0;
+  for (const auto& [name, cells] : rows) {
+    self_sum += parse_seconds(cells[3]);
+    share_sum += std::stod(cells[6]);
+  }
+  EXPECT_NEAR(self_sum,
+              parse_seconds(rows.at("test:outer")[2]) +
+                  parse_seconds(rows.at("test:other")[2]),
+              1e-4);
+  EXPECT_NEAR(share_sum, 100.0, 0.25);
+  for (const auto& [name, cells] : rows) {
+    EXPECT_NEAR(std::stod(cells[6]), 100.0 * parse_seconds(cells[3]) / self_sum,
+                0.2)
+        << name;
+  }
 }
 
 #else  // HS_TRACE_ENABLED == 0

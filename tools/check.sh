@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Full pre-merge check: build and test the Release configuration, an
-# ASan/UBSan-instrumented configuration, a TSan configuration running the
-# concurrency suite (TSan and ASan are mutually exclusive, hence the
-# separate build dir), and a tracing-disabled (HS_TRACE=OFF)
-# configuration; then smoke-test the hsi-profile and hsi-served CLIs and
-# run the loopback TCP end-to-end smokes: single-process (hsi-served
-# --listen driven by hsi-loadgen, witness-checked against file mode) and
-# sharded (--shards 2 spawning worker processes, same witness check, then
-# a SIGTERM drain).
+# Full pre-merge check: build and test the Release configuration (with
+# warnings as errors), an ASan/UBSan-instrumented configuration, a TSan
+# configuration running the concurrency suite (TSan and ASan are mutually
+# exclusive, hence the separate build dir), and a tracing-disabled
+# (HS_TRACE=OFF) configuration; then smoke-test the hsi-profile and
+# hsi-served CLIs and run the loopback TCP end-to-end smokes:
+# single-process (hsi-served --listen driven by hsi-loadgen,
+# witness-checked against file mode) and sharded (--shards 2 spawning
+# worker processes, same witness check, then a SIGTERM drain).
 #
 # Usage: tools/check.sh [extra ctest args...]
 set -euo pipefail
@@ -191,8 +191,8 @@ smoke_bench_engines() {
 
 CTEST_ARGS=("$@")
 
-echo "==> Release"
-run_config build-release -DCMAKE_BUILD_TYPE=Release
+echo "==> Release (-Werror)"
+run_config build-release -DCMAKE_BUILD_TYPE=Release -DHS_WERROR=ON
 smoke_profile build-release
 smoke_bench_engines build-release
 smoke_served build-release
